@@ -316,6 +316,35 @@ def _advance(
     return now, nxt
 
 
+def _shared_column_flow(
+    memo: dict,
+    measured: List[Tuple[float, int, int]],
+    all_ncols: List[int],
+    lb_passes: int,
+) -> ColumnFlowPlan:
+    """The scheme-3 plan for one set of allgathered measurements.
+
+    As in the paper, every rank gathers the same loads and derives the
+    same pairwise moves, so the plan is a pure function of the gathered
+    inputs: the first rank to reach a step computes it and keeps it in
+    the run's memo, the others reuse it.  A rank whose inputs differ
+    from the memo's (never the case in an SPMD run) simply replans.
+    Host work only — no virtual time is charged either way.
+    """
+    key = (tuple(measured), tuple(all_ncols), lb_passes)
+    cached = memo.get("physics_lb_plan")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    loads = estimate_rank_loads(
+        [LoadMeasurement.from_tuple(t) for t in measured]
+    )
+    flow = plan_column_flow(
+        [float(x) for x in loads], all_ncols, max_passes=lb_passes
+    )
+    memo["physics_lb_plan"] = (key, flow)
+    return flow
+
+
 def _physics_balanced(
     ctx,
     cfg: AGCMConfig,
@@ -337,11 +366,8 @@ def _physics_balanced(
     #    just workload imbalance.
     with ctx.span("physics.lb_plan"):
         measured = yield from ctx.allgather(my_measure.as_tuple())
-        loads = estimate_rank_loads(
-            [LoadMeasurement.from_tuple(t) for t in measured]
-        )
-        flow: ColumnFlowPlan = plan_column_flow(
-            [float(x) for x in loads], all_ncols, max_passes=cfg.lb_passes
+        flow = _shared_column_flow(
+            ctx.run_memo, measured, all_ncols, cfg.lb_passes
         )
 
     # 2. Execute the planned column movements, pass by pass.

@@ -34,6 +34,8 @@ win.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -180,6 +182,13 @@ def gather_binomial(comm, value: Any, root: int = 0):
 # Hot multi-round collectives: batched front doors + legacy loop bodies.
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _look_back_chain(nrounds: int) -> tuple:
+    """``FromRound(0) .. FromRound(nrounds - 1)``: the sentinels are never
+    mutated, so every ring of one size shares them."""
+    return tuple(map(FromRound, range(nrounds)))
+
+
 def allgather_ring(comm, value: Any):
     """Ring allgather: ``P - 1`` rounds of neighbour exchange.
 
@@ -187,14 +196,14 @@ def allgather_ring(comm, value: Any):
     "processor ring" variant (paper Section 3.1): every element travels
     all the way around the ring, giving ``P(P-1)`` messages total and an
     aggregate volume of ``(P-1) * sum(nbytes)``.  Batched engine: one
-    Exchange whose round ``i`` forwards what round ``i - 1`` received
-    (:class:`FromRound` chaining).
+    grouped Exchange whose round ``i`` forwards what round ``i - 1``
+    received (:class:`FromRound` chaining); the ring is closed and
+    per-round matched, so large rings run through the scheduler's bulk
+    executor.
     """
     size = comm.size
-    result: List[Any] = [None] * size
-    result[comm.rank] = value
     if size == 1:
-        return result
+        return [value]
     if not _engine.batched():
         result = yield from allgather_ring_loop(comm, value)
         return result
@@ -202,15 +211,15 @@ def allgather_ring(comm, value: Any):
     granks = comm.ranks
     right = granks[(rank + 1) % size]
     left = granks[(rank - 1) % size]
-    sends: List[Any] = [(right, value, _TAG_ALLGATHER, None, True)]
-    recvs: List[Any] = [(left, _TAG_ALLGATHER)]
-    for step in range(1, size - 1):
-        sends.append((right, FromRound(step - 1), _TAG_ALLGATHER, None, True))
-        recvs.append((left, _TAG_ALLGATHER))
-    received = yield Exchange(sends=tuple(sends), recvs=tuple(recvs))
-    for step in range(size - 1):
-        result[(rank - step - 1) % size] = received[step]
-    return result
+    sends = ((right, value, _TAG_ALLGATHER, None, True),) + tuple(zip(
+        repeat(right), _look_back_chain(size - 2),
+        repeat(_TAG_ALLGATHER), repeat(None), repeat(True),
+    ))
+    recvs = ((left, _TAG_ALLGATHER),) * (size - 1)
+    received = yield Exchange(sends=sends, recvs=recvs, group=granks)
+    # Round s brings group rank (rank - 1 - s) % size: walking back from
+    # the left neighbour to 0, then from size - 1 down to rank + 1.
+    return received[:rank][::-1] + [value] + received[rank:][::-1]
 
 
 def allgather_ring_loop(comm, value: Any):

@@ -173,7 +173,8 @@ class VirtualComm(GroupComm):
     """
 
     def __init__(self, rank: int, size: int, machine: MachineModel,
-                 trace: Trace, observer=None, fast: bool = False):
+                 trace: Trace, observer=None, fast: bool = False,
+                 run_memo: Optional[dict] = None):
         self._rank = rank
         self._size = size
         self.machine = machine
@@ -186,6 +187,12 @@ class VirtualComm(GroupComm):
         #: may pool scratch arrays.  Set by the Simulator; never True
         #: with a live observer attached.
         self.fast = bool(fast)
+        #: Host-side memo shared by every rank of one ``Simulator.run``.
+        #: Rank programs keep results here that are pure functions of
+        #: inputs every rank holds identically (the physics-LB plan from
+        #: allgathered loads), so they are computed once per run rather
+        #: than once per rank.  Never consulted for virtual time.
+        self.run_memo: dict = run_memo if run_memo is not None else {}
         self._state = None  # set by the scheduler; exposes the virtual clock
         super().__init__(self, tuple(range(size)))
 

@@ -164,11 +164,13 @@ class Exchange:
     each member sends to another member whose round ``i`` receive names
     it back (same tag), no round is ``None``, and no other traffic uses
     these (dest, src, tag) channels while the exchange is in flight.
-    The pairwise all-to-all satisfies this; the scheduler validates the
-    matching before executing.  Leave ``group=None`` (the default) for
-    any schedule that does not meet the contract — it is interpreted
-    round-by-round with identical semantics, just without the NumPy
-    bulk pricing.
+    The pairwise all-to-all and the ring allgather satisfy this; the
+    scheduler validates the matching before executing and resolves
+    :class:`FromRound` payloads that look back to an earlier round
+    (combining exchanges always run per message).  Leave ``group=None``
+    (the default) for any schedule that does not meet the contract — it
+    is interpreted round-by-round with identical semantics, just without
+    the NumPy bulk pricing.
     """
 
     sends: Tuple[Optional[Tuple[int, Any, int, Optional[int], bool]], ...]

@@ -14,18 +14,22 @@ for the message-passing semantics the AGCM needs:
 * ``Exchange`` is a batched schedule of send/recv rounds (how collectives
   execute): the scheduler interprets the whole schedule in one visit,
   pricing the rounds with vectorized NumPy costs, and resumes the rank
-  program once instead of ``2 (P - 1)`` times.
+  program once instead of ``2 (P - 1)`` times.  A grouped Exchange (the
+  all-to-all, transposes and ring allgather) parks its members until the
+  group is complete and then runs as one vectorized block, chained
+  ``FromRound`` payloads included.
 * ``Barrier`` synchronises a group: all members advance to the group's
   maximum clock plus a dissemination-barrier cost.
 
 Ready ranks are dispatched in same-timestamp **cohorts**: the run queue
-(:class:`CohortQueue`) extracts all entries sharing the minimum clock,
-sorted by rank, and dispatches them together — replacing the per-event
-heap churn of the original engine.  Virtual results are independent of
-host dispatch order (each rank executes its ops in program order until it
-blocks, and per-channel message order is FIFO), so the cohort engine is
-bit-identical to the old heap engine; cohort-vs-heap ordering is also
-property-tested in ``tests/parallel/test_event_batching.py``.
+(:class:`CohortQueue`) is a binary heap from which every entry sharing
+the minimum clock is popped at once — they leave the heap in rank order,
+O(k log N) for a cohort of k — and dispatched together; wake-ups pushed
+while a cohort drains wait for the next cohort.  Virtual results are
+independent of host dispatch order (each rank executes its ops in program
+order until it blocks, and per-channel message order is FIFO), so the
+cohort engine is bit-identical to the per-event heap engine; the cohort
+ordering is property-tested in ``tests/parallel/test_event_batching.py``.
 
 A situation where no rank can progress is a genuine communication
 deadlock and raises :class:`DeadlockError`.
@@ -69,9 +73,6 @@ from repro.parallel.trace import RankAccounting, SimResult, Trace
 #: send costs priced in one vectorized NumPy pass.
 _VECTORIZE_ROUNDS = 8
 
-#: Pending queues at least this long use NumPy to find the cohort clock.
-_VECTORIZE_QUEUE = 64
-
 #: Closed-group exchanges moving at least this many messages in total
 #: (members x rounds) run through the vectorized bulk executor; smaller
 #: ones are interpreted round-by-round (the NumPy setup would dominate).
@@ -111,41 +112,40 @@ class RankFailedError(RuntimeError):
 
 
 class CohortQueue:
-    """Array-based ready queue dispatching same-timestamp cohorts.
+    """Heap-backed ready queue dispatching same-timestamp cohorts.
 
-    Entries are ``(clock, rank)``.  Instead of a binary heap, the queue
-    keeps a flat pending list and, when asked for the next entry,
-    extracts the whole cohort sharing the minimum clock (sorted by rank)
-    in one pass — NumPy-assisted once the pending list is long enough.
-    Cohort members then pop in O(1) until the cohort drains.
+    Entries are ``(clock, rank)`` in a binary heap.  When the current
+    cohort is exhausted, ``pop`` forms the next one by popping every
+    entry at the minimum clock — they leave the heap in rank order — so
+    forming a cohort of ``k`` ranks costs O(k log N) instead of a scan of
+    the whole pending set.  Cohort members then pop in O(1) until the
+    cohort drains.
 
     Ordering contract (property-tested): for any entries present when a
     cohort is formed, dispatch follows exact ``(clock, rank)`` order —
-    identical to a heap.  Entries pushed *while* a cohort drains dispatch
-    no earlier than the cohort's timestamp; the engine only pushes
-    wake-ups at clocks ``>=`` the waker's current clock, so cohort
-    timestamps never regress.
+    identical to a heap.  Entries pushed *while* a cohort drains stay in
+    the heap and dispatch no earlier than the cohort's timestamp; the
+    engine only pushes wake-ups at clocks ``>=`` the waker's current
+    clock, so cohort timestamps never regress.
     """
 
-    __slots__ = ("_clocks", "_ranks", "_cohort", "_cohort_clock", "_ci")
+    __slots__ = ("_heap", "_cohort", "_cohort_clock", "_ci")
 
     def __init__(self, entries: Iterable[Tuple[float, int]] = ()):
-        self._clocks: List[float] = []
-        self._ranks: List[int] = []
-        for clock, rank in entries:
-            self._clocks.append(clock)
-            self._ranks.append(rank)
+        self._heap: List[Tuple[float, int]] = [
+            (clock, rank) for clock, rank in entries
+        ]
+        heapq.heapify(self._heap)
         self._cohort: List[int] = []
         self._cohort_clock = 0.0
         self._ci = 0
 
     def __len__(self) -> int:
-        return (len(self._cohort) - self._ci) + len(self._clocks)
+        return (len(self._cohort) - self._ci) + len(self._heap)
 
     def push(self, clock: float, rank: int) -> None:
         """Enqueue a ready rank at its current clock."""
-        self._clocks.append(clock)
-        self._ranks.append(rank)
+        heapq.heappush(self._heap, (clock, rank))
 
     def pop(self) -> Optional[Tuple[float, int]]:
         """Next ``(clock, rank)`` entry, or None when the queue is empty."""
@@ -153,30 +153,18 @@ class CohortQueue:
             rank = self._cohort[self._ci]
             self._ci += 1
             return (self._cohort_clock, rank)
-        clocks = self._clocks
-        if not clocks:
+        heap = self._heap
+        if not heap:
             return None
-        if len(clocks) >= _VECTORIZE_QUEUE:
-            t = float(np.min(np.asarray(clocks)))
-        else:
-            t = min(clocks)
-        ranks = self._ranks
-        cohort: List[int] = []
-        keep_c: List[float] = []
-        keep_r: List[int] = []
-        for c, r in zip(clocks, ranks):
-            if c == t:
-                cohort.append(r)
-            else:
-                keep_c.append(c)
-                keep_r.append(r)
-        cohort.sort()
-        self._clocks = keep_c
-        self._ranks = keep_r
+        heappop = heapq.heappop
+        t, rank = heappop(heap)
+        cohort = [rank]
+        while heap and heap[0][0] == t:
+            cohort.append(heappop(heap)[1])
         self._cohort = cohort
         self._cohort_clock = t
         self._ci = 1
-        return (t, cohort[0])
+        return (t, rank)
 
 
 class _HeapQueue:
@@ -213,8 +201,14 @@ class _ExchState:
     Tracks the next round ``i``, whether round ``i``'s send already
     executed (``sent`` — so a rank blocked on the round's recv does not
     re-send on resume), and either the per-round results list or the
-    running accumulator of a combining exchange.  ``pre_busy``/``pre_msg``
-    hold vectorized send costs when every payload is statically sized.
+    running accumulator of a combining exchange.
+
+    ``pre_wire`` holds every round's wire size when all of them can be
+    known up front: ``0`` for send-less rounds, and ``-1 - j`` for a
+    :class:`FromRound` ``(j)`` payload, whose size is that of whatever
+    round ``j`` delivers (resolved group-wide by
+    :meth:`Simulator._bulk_exchange`).  ``pre_busy``/``pre_msg`` hold
+    vectorized send costs when every size is static.
     """
 
     __slots__ = ("op", "i", "sent", "results", "acc", "combine",
@@ -234,16 +228,23 @@ class _ExchState:
         if len(sends) >= _VECTORIZE_ROUNDS or op.group is not None:
             wires: List[int] = []
             append = wires.append
-            for s in sends:
+            chained = False
+            for i, s in enumerate(sends):
                 if s is None:
                     append(0)
                     continue
                 payload = s[1]
                 tp = type(payload)
-                if tp is FromRound or payload is ACCUM:
-                    return  # chained payload: sizes only known per round
                 nbytes = s[3]
-                if nbytes is not None:
+                if tp is FromRound:
+                    j = payload.round
+                    if nbytes is not None or not 0 <= j < i:
+                        return  # only plain look-back chains are resolved
+                    append(-1 - j)
+                    chained = True
+                elif payload is ACCUM:
+                    return  # accumulator: sizes only known per round
+                elif nbytes is not None:
                     append(int(nbytes))
                 # Inline the two payload types every hot collective uses;
                 # payload_nbytes agrees with these by construction.
@@ -254,6 +255,8 @@ class _ExchState:
                 else:
                     append(payload_nbytes(payload))
             self.pre_wire = wires
+            if chained:
+                return  # priced per round, or group-wide in bulk
             busy, msg = batch_message_costs(machine, wires)
             # Python lists: indexing them in the interpreter loop is much
             # cheaper than extracting np.float64 scalars, and .tolist()
@@ -392,10 +395,11 @@ class Simulator:
         fast = bool(fast) and not obs.enabled
 
         trace = Trace(self.nranks, record_events=self.record_events)
+        run_memo: Dict[Any, Any] = {}
         states: List[_RankState] = []
         for rank in range(self.nranks):
             ctx = VirtualComm(rank, self.nranks, self.machine, trace,
-                              observer=obs, fast=fast)
+                              observer=obs, fast=fast, run_memo=run_memo)
             gen = program(ctx, *args, **kwargs)
             state = _RankState(rank, gen)
             ctx._state = state  # back-reference for clock access
@@ -591,7 +595,7 @@ class Simulator:
                             f"group {group} it does not belong to"
                         )
                     if (group is not None and bulk_ok
-                            and ex.pre_busy is not None
+                            and ex.pre_wire is not None
                             and ex.combine is None
                             and len(group) * len(op.sends) >= _BULK_MIN_MSGS
                             and None not in op.sends
@@ -1081,32 +1085,44 @@ class Simulator:
         at a time rather than via ``np.sum`` precisely to keep the float
         association identical to the sequential path.
 
+        Chained payloads (:class:`FromRound`, the ring allgather) resolve
+        through the same matching: ``FromRound(j)`` on member ``g`` is
+        what ``g``'s round-``j`` partner sent it, so its wire size is
+        copied from that cell (sizes were measured once, on the
+        originating payloads) and the payload is the one that cell
+        carries — resolved as flat cell indices, never by copying.
+
         Members other than the caller were parked blocked; they are
         unblocked with completed cursors and re-queued here.  The caller
         (the last member to arrive) continues inline.
         """
         G = len(group)
-        machine = self.machine
         exs = [states[g].exch for g in group]
-        ops = [ex.op for ex in exs]
-        R = len(ops[0].sends)
-        for op in ops:
-            if len(op.sends) != R:
+        sends_l = [ex.op.sends for ex in exs]
+        R = len(sends_l[0])
+        for sends in sends_l:
+            if len(sends) != R:
                 raise ValueError(
                     "grouped Exchange members disagree on round count: "
-                    f"{len(op.sends)} vs {R} (group={group})"
+                    f"{len(sends)} vs {R} (group={group})"
                 )
+        # Schedule columns, one row per member (zip transposes a member's
+        # round tuples at C speed).
+        dest_rows, stag_rows, src_rows, rtag_rows = [], [], [], []
+        payloads: List[Any] = []  # flat, member-major: cell g * R + r
+        for ex, sends in zip(exs, sends_l):
+            d, p, t, _n, _dr = zip(*sends)
+            dest_rows.append(d)
+            payloads.extend(p)
+            stag_rows.append(t)
+            d, t = zip(*ex.op.recvs)
+            src_rows.append(d)
+            rtag_rows.append(t)
         # Member lookup: global rank -> group index, -1 outside the group.
         lut = np.full(self.nranks, -1, dtype=np.intp)
         lut[np.asarray(group, dtype=np.intp)] = np.arange(G)
-        dest = np.array([[s[0] for s in op.sends] for op in ops],
-                        dtype=np.intp)
-        stag = np.array([[s[2] for s in op.sends] for op in ops])
-        src = np.array([[rv[0] for rv in op.recvs] for op in ops],
-                       dtype=np.intp)
-        rtag = np.array([[rv[1] for rv in op.recvs] for op in ops])
-        didx = lut[dest]
-        sidx = lut[src]
+        didx = lut[np.array(dest_rows, dtype=np.intp)]
+        sidx = lut[np.array(src_rows, dtype=np.intp)]
         if (didx < 0).any() or (sidx < 0).any():
             raise ValueError(
                 f"grouped Exchange names ranks outside its group {group}"
@@ -1117,7 +1133,7 @@ class Simulator:
         # send targets g back with the same tag (the closed-matching
         # contract documented on Exchange.group).
         if not (didx[sidx, cols] == rows).all() or not (
-            stag[sidx, cols] == rtag
+            np.array(stag_rows)[sidx, cols] == np.array(rtag_rows)
         ).all():
             raise ValueError(
                 "grouped Exchange schedule is not per-round matched; "
@@ -1125,15 +1141,29 @@ class Simulator:
                 "interpreter"
             )
         wire = np.array([ex.pre_wire for ex in exs], dtype=np.int64)
-        busy = np.array([ex.pre_busy for ex in exs])
-        msg = np.array([ex.pre_msg for ex in exs])
+        # origin[g, r]: flat index (member * R + round) of the send cell
+        # whose payload cell (g, r) carries.
+        origin = np.arange(G * R).reshape(G, R)
+        chained = wire < 0
+        for r in np.flatnonzero(chained.any(axis=0)).tolist():
+            # FromRound(j) forwards the round-j delivery: size and payload
+            # of the round-j partner's send (FromRound only looks back, so
+            # column j is already resolved).
+            m = np.flatnonzero(chained[:, r])
+            j = -1 - wire[m, r]
+            k = sidx[m, j]
+            wire[m, r] = wire[k, j]
+            origin[m, r] = origin[k, j]
+        busy, msg = batch_message_costs(self.machine, wire)
         in_wire = wire[sidx, cols]
+        delivered = origin[sidx, cols]
         # Receive pricing depends only on nbytes: price each distinct
         # wire size once through the machine model.
-        recv_busy_time = machine.recv_busy_time
-        rbusy = np.empty((G, R))
-        for u in np.unique(in_wire):
-            rbusy[in_wire == u] = recv_busy_time(int(u))
+        recv_busy_time = self.machine.recv_busy_time
+        uniq, inv = np.unique(in_wire.ravel(), return_inverse=True)
+        rbusy = np.array(
+            [recv_busy_time(int(u)) for u in uniq.tolist()]
+        )[inv.ravel()].reshape(G, R)
 
         acc_ranks = trace.ranks
         clocks = np.array([states[g].clock for g in group])
@@ -1154,8 +1184,7 @@ class Simulator:
         bsent = wire.sum(axis=1).tolist()
         brecv = in_wire.sum(axis=1).tolist()
 
-        pays = [[s[1] for s in op.sends] for op in ops]
-        sidx_l = sidx.tolist()
+        fetch = payloads.__getitem__
         clocks_l = clocks.tolist()
         sbt_l = sbt.tolist()
         rwt_l = rwt.tolist()
@@ -1163,10 +1192,7 @@ class Simulator:
         for gi, g in enumerate(group):
             s = states[g]
             ex = exs[gi]
-            res = ex.results
-            srow = sidx_l[gi]
-            for r in range(R):
-                res[r] = pays[srow[r]][r]
+            ex.results[:] = map(fetch, delivered[gi].tolist())
             ex.i = R
             ex.sent = False
             s.clock = clocks_l[gi]

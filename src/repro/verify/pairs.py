@@ -939,14 +939,22 @@ def guard_buddy_recovery_pair() -> ImplementationPair:
 # 10. engine overhaul: batched vs legacy engine, fastpath vs instrumented
 # ----------------------------------------------------------------------
 
-def _engine_probe_program(ctx, data):
+def _engine_probe_program(ctx, data, skew=0):
     """Collective-heavy program touching every schedule the batched
-    engine treats specially: pairwise all-to-all (bulk group-synchronous
-    above the message threshold), ring allgather (chained ``FromRound``
-    payloads) and recursive-doubling allreduce (combining ``ACCUM``
-    payloads, always per-message)."""
+    engine treats specially: pairwise all-to-all and ring allgather
+    (chained ``FromRound`` payloads), both bulk group-synchronous above
+    the message threshold, and recursive-doubling allreduce (combining
+    ``ACCUM`` payloads, always per-message).
+
+    ``skew > 0`` first charges a rank-dependent compute of up to ``10 *
+    skew`` message latencies, so ranks reach the collectives out of
+    lockstep — the desynchronised arrivals of a balanced-physics step."""
     from repro.parallel.collectives import allreduce_recursive_doubling
 
+    if skew:
+        yield from ctx.compute(
+            seconds=skew * ctx.machine.latency * ((7 * ctx.rank) % 11)
+        )
     mine = data[ctx.rank]
     gathered = yield from ctx.allgather(mine)
     swapped = yield from ctx.alltoall([mine + d for d in range(ctx.size)])
@@ -972,6 +980,7 @@ def _engine_observables(res) -> Dict[str, np.ndarray]:
         "totals": np.array([res.returns[r]["total"] for r in range(p)]),
         "clocks": np.array(res.clocks),
         "elapsed": np.array([res.elapsed]),
+        "compute": np.array([a.compute_time for a in acc]),
         "send_busy": np.array([a.send_busy_time for a in acc]),
         "recv_busy": np.array([a.recv_busy_time for a in acc]),
         "recv_wait": np.array([a.recv_wait_time for a in acc]),
@@ -996,7 +1005,7 @@ def _engine_runner(legacy: bool):
         ctxmgr = _engine.legacy_engine() if legacy else nullcontext()
         with ctxmgr:
             res = Simulator(config["p"], GENERIC).run(
-                _engine_probe_program, data
+                _engine_probe_program, data, config["skew"]
             )
         return _engine_observables(res)
 
@@ -1007,11 +1016,12 @@ def engine_batched_vs_loop_pair() -> ImplementationPair:
     return ImplementationPair(
         name="engine-batched-vs-loop",
         # p reaches past 23 so some sampled configs push the pairwise
-        # all-to-all over the bulk group-synchronous threshold
-        # (p*(p-1) >= 512) while smaller ones take the per-exchange
-        # vectorized and scalar paths — all three must agree with the
-        # legacy engine exactly.
-        space=ParamSpace({"p": (2, 26), "n": (1, 24)}),
+        # all-to-all and the ring allgather over the bulk
+        # group-synchronous threshold (p*(p-1) >= 512) while smaller ones
+        # take the per-exchange vectorized and scalar paths — all three
+        # must agree with the legacy engine exactly, with ranks arriving
+        # in lockstep (skew 0) or desynchronised.
+        space=ParamSpace({"p": (2, 26), "n": (1, 24), "skew": (0, 3)}),
         reference=_engine_runner(legacy=True),
         candidate=_engine_runner(legacy=False),
         atol=tolerances.EXACT,

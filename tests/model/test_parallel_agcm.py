@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grid import Decomposition2D
+from repro.model import parallel_agcm
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
 from repro.model.parallel_agcm import agcm_rank_program
@@ -52,20 +53,40 @@ class TestEquivalence:
                 err_msg=f"{backend} {dims} field {name}",
             )
 
-    def test_physics_lb_preserves_solution(self, serial_reference):
-        """Moving columns between ranks must not change any result."""
+    def test_physics_lb_preserves_solution(self, serial_reference,
+                                           monkeypatch):
+        """Moving columns between ranks must not change any result.
+
+        Every rank gathers the same loads, so the column-flow plan is
+        derived once per balanced step and shared by all ranks of a run
+        — and a second run of the same inputs plans again rather than
+        reusing the first run's plans."""
         cfg, ref = serial_reference
         cfg2 = cfg.with_(physics_lb=True)
         mesh = ProcessorMesh(3, 2)
         decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
-        res = Simulator(mesh.size, PARAGON).run(
-            agcm_rank_program, cfg2, decomp, NSTEPS, True
-        )
-        gathered = _gather_fields(cfg2, (3, 2), res, decomp)
-        for name, want in ref.items():
-            np.testing.assert_allclose(gathered[name], want, atol=tolerances.FIELD_ATOL)
-        moved = sum(r["columns_moved"] for r in res.returns)
-        assert moved > 0  # the balancer really ran
+        plans = []
+        plan = parallel_agcm.plan_column_flow
+
+        def counting_plan(*args, **kwargs):
+            plans.append(args)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_agcm, "plan_column_flow", counting_plan)
+        sim = Simulator(mesh.size, PARAGON)
+        for run in (1, 2):
+            res = sim.run(agcm_rank_program, cfg2, decomp, NSTEPS, True)
+            # Physics runs at steps 0, 4 and 8; step 0 only measures.
+            balanced_steps = res.returns[0]["physics_calls"] - 1
+            assert balanced_steps == 2
+            assert len(plans) == run * balanced_steps
+            gathered = _gather_fields(cfg2, (3, 2), res, decomp)
+            for name, want in ref.items():
+                np.testing.assert_allclose(
+                    gathered[name], want, atol=tolerances.FIELD_ATOL
+                )
+            moved = sum(r["columns_moved"] for r in res.returns)
+            assert moved > 0  # the balancer really ran
 
     def test_machine_does_not_change_results(self, serial_reference):
         """Timing model and numerics are orthogonal."""

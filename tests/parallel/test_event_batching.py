@@ -34,6 +34,35 @@ def _drain(queue):
         out.append(entry)
 
 
+class _FlatListCohortQueue:
+    """Reference oracle: the flat-list cohort queue the heap replaced.
+
+    ``pop`` rescans the whole pending list for the minimum clock, moves
+    every entry at that clock into the cohort (sorted by rank) and
+    serves it before looking at the pending list again — so pushes made
+    while a cohort drains wait for the next cohort.
+    """
+
+    def __init__(self, entries=()):
+        self._pending = list(entries)
+        self._cohort = []
+        self._clock = 0.0
+
+    def push(self, clock, rank):
+        self._pending.append((clock, rank))
+
+    def pop(self):
+        if self._cohort:
+            return (self._clock, self._cohort.pop(0))
+        if not self._pending:
+            return None
+        t = min(c for c, _ in self._pending)
+        self._cohort = sorted(r for c, r in self._pending if c == t)
+        self._pending = [(c, r) for c, r in self._pending if c != t]
+        self._clock = t
+        return (t, self._cohort.pop(0))
+
+
 class TestCohortQueueOrdering:
     @given(entries=_ENTRIES)
     @settings(max_examples=200, deadline=None)
@@ -59,35 +88,33 @@ class TestCohortQueueOrdering:
         self, entries, script
     ):
         """Under the engine's push discipline (wake-ups never carry a
-        clock below the waker's current time), popped timestamps never
-        regress, ties inside each cohort dispatch in rank order, and
-        nothing is lost or invented."""
+        clock below the waker's current time), the queue pops exactly
+        the sequence the flat-list oracle pops — so timestamps never
+        regress, each cohort drains in rank order, and pushes made during
+        a drain wait for the next cohort."""
         queue = CohortQueue(iter(entries))
-        pushed = list(entries)
+        oracle = _FlatListCohortQueue(entries)
         popped = []
         now = 0.0
         for action, dt, rank in script:
             if action == "push":
                 clock = now + dt  # engine invariant: clock >= now
                 queue.push(clock, rank)
-                pushed.append((clock, rank))
+                oracle.push(clock, rank)
             else:
                 entry = queue.pop()
+                assert entry == oracle.pop()
+                assert len(queue) == len(oracle._pending) + len(
+                    oracle._cohort
+                )
                 if entry is not None:
                     assert entry[0] >= now
-                    if popped and entry[0] == popped[-1][0]:
-                        # Same-timestamp cohorts drain in rank order;
-                        # a tie that spans two cohorts re-sorts, so
-                        # only in-cohort ties are rank-monotone — but
-                        # a fresh cohort at the same clock still never
-                        # pops below the engine's current time.
-                        pass
                     now = entry[0]
                     popped.append(entry)
-        popped.extend(_drain(queue))
-        clocks = [c for c, _ in popped]
+        rest = _drain(queue)
+        assert rest == _drain(oracle)
+        clocks = [c for c, _ in popped + rest]
         assert clocks == sorted(clocks)
-        assert sorted(popped) == sorted(pushed)
 
     def test_same_clock_cohort_pops_in_rank_order(self):
         queue = CohortQueue([(1.0, 5), (1.0, 1), (0.5, 7), (1.0, 3)])
@@ -207,6 +234,56 @@ class TestBulkExchange:
 
         with pytest.raises(DeadlockError, match="parked for bulk"):
             Simulator(p, GENERIC).run(program)
+
+
+# ----------------------------------------------------------------------
+# desynchronised arrivals at bulk collectives
+# ----------------------------------------------------------------------
+
+class TestDesynchronisedCollectives:
+    """The engine-pair probe at rank counts whose ring allgather (p *
+    (p - 1) >= 512 messages) and all-to-all both run through the bulk
+    executor, with ranks arriving in lockstep or skewed by a
+    rank-dependent compute."""
+
+    @pytest.mark.parametrize("skew", [0, 3])
+    @pytest.mark.parametrize("p", [24, 32])
+    def test_probe_matches_legacy_engine_exactly(self, p, skew,
+                                                 monkeypatch):
+        from dataclasses import asdict
+
+        from repro.verify.pairs import _engine_probe_program
+
+        assert p * (p - 1) >= _BULK_MIN_MSGS
+        data = np.random.default_rng(p + skew).standard_normal((p, 5))
+        bulk_groups = []
+        bulk = Simulator._bulk_exchange
+
+        def spy(self, group, *args):
+            bulk_groups.append(len(group))
+            return bulk(self, group, *args)
+
+        monkeypatch.setattr(Simulator, "_bulk_exchange", spy)
+        res = Simulator(p, GENERIC).run(_engine_probe_program, data, skew)
+        # Both the ring allgather and the all-to-all went bulk.
+        assert bulk_groups == [p, p]
+        with _engine.legacy_engine():
+            ref = Simulator(p, GENERIC).run(
+                _engine_probe_program, data, skew
+            )
+        if skew:
+            assert len(set(ref.trace.ranks[r].compute_time
+                           for r in range(p))) > 1
+        for r in range(p):
+            for key in ("allgather", "alltoall"):
+                np.testing.assert_array_equal(
+                    res.returns[r][key], ref.returns[r][key]
+                )
+            assert res.returns[r]["total"] == ref.returns[r]["total"]
+        assert res.clocks == ref.clocks
+        assert res.elapsed == ref.elapsed
+        for a, b in zip(res.trace.ranks, ref.trace.ranks):
+            assert asdict(a) == asdict(b)
 
 
 # ----------------------------------------------------------------------

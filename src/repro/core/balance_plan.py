@@ -20,10 +20,15 @@ We realise this in two stages, matching Figures 2 and 3:
   so the FFT can run on whole lines locally (Section 3.2's "local FFT
   after a data transpose").
 
-Both stages are described by a :class:`FilterAssignment`, computed once at
-setup from globally known information (no communication needed — every
-rank derives the identical plan deterministically, which is how we keep
-the paper's "substantial bookkeeping" a one-time cost).
+Both stages are described by a :class:`FilterAssignment`, computed at
+setup from globally known information (no communication needed).  In the
+paper every node derives the identical plan; since it is a pure function
+of the grid and the mesh, the simulator builds it once per run and shares
+it among the ranks, and each rank compiles its own view of it (peers,
+unit runs, split offsets — see
+:class:`~repro.core.parallel_filter.TransposeSchedule`) on its first
+filter call.  That is how the paper's "substantial bookkeeping" stays a
+one-time cost rather than a per-step one.
 
 The *unbalanced* FFT filter uses the same machinery with the identity
 stage-A map (:func:`natural_assignment`), making load balancing a genuine

@@ -10,7 +10,7 @@ the vendor library.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,25 @@ def fft_filter_line(line: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         spec *= transfer
     else:
         spec *= transfer[:, None]
+    return np.fft.irfft(spec, n=n, axis=0)
+
+
+def fft_filter_columns(
+    lines: np.ndarray, bands: Sequence[Tuple[int, int, np.ndarray]]
+) -> np.ndarray:
+    """FFT-filter an (N, W) block whose column ranges use different factors.
+
+    ``bands`` lists ``(c0, c1, transfer)``: columns ``[c0, c1)`` are
+    damped by ``transfer`` (shape ``(N//2 + 1, 1)``); columns outside
+    every band pass through the transform pair unfiltered.  One
+    ``rfft``/``irfft`` pair covers the whole block and each band is
+    scaled in place, so the result equals :func:`fft_filter_line` applied
+    band by band, bit for bit, without a stacked transfer matrix.
+    """
+    n = lines.shape[0]
+    spec = np.fft.rfft(lines, axis=0)
+    for c0, c1, transfer in bands:
+        spec[:, c0:c1] *= transfer
     return np.fft.irfft(spec, n=n, axis=0)
 
 

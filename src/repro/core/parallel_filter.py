@@ -28,12 +28,21 @@ different layer counts (``ps`` has one, the 3-D fields have K) pack into
 a single message, and both endpoints derive the split offsets from the
 globally known plan.  All filtered fields must be 3-D
 ``(nlat, nlon, nlayers)`` arrays.
+
+The transpose-FFT backends derive those offsets, peers and line bands
+once per rank and set of layer counts: a :class:`TransposeSchedule`,
+compiled on first use and kept on the shared :class:`FilterBackend` —
+the paper's plan-once, execute-every-step split (as in P3DFFT).  Each
+call then packs one row array, ships column slices of it, and filters
+all of the rank's complete lines with a single FFT pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +56,11 @@ from repro.core.convolution import (
     convolution_filter_rows,
     convolution_flop_count,
 )
-from repro.core.fft import fft_filter_line, fft_filter_rows, fft_filter_flop_count
+from repro.core.fft import (
+    fft_filter_columns,
+    fft_filter_flop_count,
+    fft_filter_rows,
+)
 from repro.core.masks import FilterPlan
 from repro.grid.decomposition import Decomposition2D
 from repro.parallel import collectives as coll
@@ -86,13 +99,36 @@ class FilterBackend:
     """A prepared filtering configuration for one decomposition.
 
     Built once at setup (mirroring the paper's one-time set-up step) and
-    reused every time step.
+    reused every time step.  The transpose-FFT backends also keep each
+    rank's compiled :class:`TransposeSchedule`, built on the rank's first
+    call for a given set of layer counts, so one backend serves every
+    rank of a run and every later call reuses the bookkeeping.
     """
 
     name: str
     plan: FilterPlan
     decomp: Decomposition2D
     assignment: Optional[FilterAssignment]  # None for convolution backends
+    _schedules: Dict[tuple, "TransposeSchedule"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def _stage_a_moves(self) -> List[Tuple[int, int, List[int]]]:
+        return self.assignment.stage_a_moves()
+
+    def transpose_schedule(
+        self, rank: int, layers: Dict[str, int]
+    ) -> "TransposeSchedule":
+        """``rank``'s transpose schedule for fields of these layer counts."""
+        key = (rank, tuple(sorted(layers.items())))
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = _compile_transpose_schedule(
+                self.assignment, self._stage_a_moves, rank, layers
+            )
+            self._schedules[key] = schedule
+        return schedule
 
     def apply(self, ctx: VirtualComm, local_fields: Dict[str, np.ndarray]):
         """Generator: filter the local fields in place on this rank."""
@@ -105,9 +141,10 @@ class FilterBackend:
                 ctx, self.decomp, self.plan, local_fields
             )
         elif self.name in ("fft", "fft-lb"):
-            yield from filter_fft_transpose(
-                ctx, self.decomp, self.plan, self.assignment, local_fields
+            schedule = self.transpose_schedule(
+                ctx.rank, _layers_of(local_fields)
             )
+            yield from filter_fft_transpose(ctx, schedule, local_fields)
         elif self.name == "fft-distributed":
             yield from filter_fft_distributed(
                 ctx, self.decomp, self.plan, local_fields
@@ -231,19 +268,6 @@ def _split_units(
     """Invert :func:`_pack_units`: views per unit, (nlon, K_var) each."""
     offs = _unit_offsets(plan, units, layers)
     return [packed[:, offs[i] : offs[i + 1]] for i in range(len(units))]
-
-
-def _unit_transfer(plan: FilterPlan, unit: int) -> np.ndarray:
-    """The rfft transfer factors for a unit's (filter, latitude)."""
-    u = plan.units[unit]
-    return plan.filter_for(u).transfer(u.lat)
-
-
-def _total_layers(
-    plan: FilterPlan, units: Sequence[int], layers: Dict[str, int]
-) -> int:
-    """Total packed layer count of a unit list."""
-    return sum(layers[plan.units[u].var] for u in units)
 
 
 def _convolution_segment_flops(
@@ -384,172 +408,292 @@ def filter_convolution_tree(
 # transpose-based FFT backends (the paper's optimisation)
 # ----------------------------------------------------------------------
 
+#: A run of consecutive latitude rows of one variable, packed side by
+#: side: ``(var, l0, l1, k, c0)`` — local rows ``[l0, l1)`` of ``var``
+#: (``k`` layers each) occupy packed columns ``[c0, c0 + (l1 - l0) * k)``.
+FieldRun = Tuple[str, int, int, int, int]
+
+#: A block copy between two packed arrays: ``(src0, dst0, width)``.
+ColumnCopy = Tuple[int, int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class TransposeSchedule:
+    """Everything one rank's transpose-FFT call needs, derived once.
+
+    A pure function of the assignment, this rank and the layer count of
+    each filtered variable (:meth:`FilterBackend.transpose_schedule`
+    builds it lazily and keeps it), so a filter call only moves and
+    transforms data.  The *row array* is this rank's longitude segment of
+    every unit assigned to its processor row, packed in unit order
+    (``(nlon_loc, width)``): because stage-B columns own consecutive
+    blocks of those units, each outgoing transpose chunk is a column
+    slice of it, and the returning chunks concatenate back into it.
+    """
+
+    #: This rank's local longitude extent and the global line length.
+    nlon_loc: int
+    nlon: int
+    #: World ranks of this rank's processor row (the stage-B group).
+    row_ranks: Tuple[int, ...]
+    #: Units owned *and* assigned here: local rows <-> row array.
+    kept: Tuple[FieldRun, ...]
+    #: Stage A out: ``(peer, width, runs)`` — units this row owns but
+    #: another row filters; runs map local rows <-> the payload.
+    a_out: Tuple[Tuple[int, int, Tuple[FieldRun, ...]], ...]
+    #: Stage A in: ``(peer, width, copies)`` — payload <-> row array.
+    a_in: Tuple[Tuple[int, int, Tuple[ColumnCopy, ...]], ...]
+    #: Row-array width (0: the row holds no units, so no stage B), and
+    #: the column offset where each stage-B processor column's block of
+    #: units starts (``n_cols + 1`` entries).
+    width: int
+    col_offsets: Tuple[int, ...]
+    #: Global longitude range of each processor column.
+    lon_bounds: Tuple[Tuple[int, int], ...]
+    #: This rank's complete lines: ``(c0, c1, transfer)`` column bands
+    #: of the assembled ``(nlon, W_j)`` block (see :func:`fft_filter_columns`).
+    lines: Tuple[Tuple[int, int, np.ndarray], ...]
+
+
+def _field_runs(
+    plan: FilterPlan,
+    units: Sequence[int],
+    offsets: Sequence[int],
+    lat0: int,
+    layers: Dict[str, int],
+) -> Tuple[FieldRun, ...]:
+    """Merge ``units`` (packed at ``offsets``) into maximal row runs."""
+    runs: List[FieldRun] = []
+    for u, c0 in zip(units, offsets):
+        ru = plan.units[u]
+        row, k = ru.lat - lat0, layers[ru.var]
+        if runs:
+            var, l0, l1, _, s0 = runs[-1]
+            if var == ru.var and row == l1 and c0 == s0 + (l1 - l0) * k:
+                runs[-1] = (var, l0, l1 + 1, k, s0)
+                continue
+        runs.append((ru.var, row, row + 1, k, c0))
+    return tuple(runs)
+
+
+def _column_copies(
+    src: Sequence[int], dst: Sequence[int], widths: Sequence[int]
+) -> Tuple[ColumnCopy, ...]:
+    """Merge per-unit column moves that are contiguous on both sides."""
+    copies: List[ColumnCopy] = []
+    for s, d, w in zip(src, dst, widths):
+        if copies:
+            s0, d0, w0 = copies[-1]
+            if s == s0 + w0 and d == d0 + w0:
+                copies[-1] = (s0, d0, w0 + w)
+                continue
+        copies.append((s, d, w))
+    return tuple(copies)
+
+
+def _run_views(fields: Dict[str, np.ndarray], packed: np.ndarray,
+               runs: Sequence[FieldRun]):
+    """``(field rows, packed view)`` pairs of equal ``(n, nlon_loc, k)``
+    shape for each run; the packed view writes through to ``packed``."""
+    nlon_loc = packed.shape[0]
+    for var, l0, l1, k, c0 in runs:
+        n = l1 - l0
+        cols = packed[:, c0 : c0 + n * k].reshape(nlon_loc, n, k)
+        yield fields[var][l0:l1], cols.transpose(1, 0, 2)
+
+
+def _pack_runs(fields, packed, runs) -> None:
+    """Copy field rows into packed columns."""
+    for rows, cols in _run_views(fields, packed, runs):
+        cols[...] = rows
+
+
+def _unpack_runs(fields, packed, runs) -> None:
+    """Copy packed columns back into field rows."""
+    for rows, cols in _run_views(fields, packed, runs):
+        rows[...] = cols
+
+
+def _compile_transpose_schedule(
+    assignment: FilterAssignment,
+    moves: Sequence[Tuple[int, int, List[int]]],
+    rank: int,
+    layers: Dict[str, int],
+) -> TransposeSchedule:
+    """Derive one rank's :class:`TransposeSchedule`.
+
+    ``moves`` is ``assignment.stage_a_moves()`` (identical for every
+    rank, so the backend computes it once); ``layers`` maps each filtered
+    variable to its layer count.
+    """
+    plan, decomp = assignment.plan, assignment.decomp
+    mesh = decomp.mesh
+    sub = decomp.subdomain(rank)
+    i_row, j_col = mesh.coords_of(rank)
+
+    def widths(units):
+        return [layers[plan.units[u].var] for u in units]
+
+    def offsets(units):
+        return list(accumulate(widths(units), initial=0))
+
+    # Row array: the row's assigned units in order; stage-B column c
+    # owns a consecutive block of them (block partition, see
+    # balance_plan._assign_line_cols), which is what lets the transpose
+    # chunks be plain column slices.
+    assigned = assignment.units_assigned_to_row(i_row)
+    starts = offsets(assigned)  # one more entry than units: the width
+    where = dict(zip(assigned, starts))
+    n_cols = mesh.nlon_procs
+    col_of = [assignment.line_col[u] for u in assigned]
+    if col_of != sorted(col_of):
+        raise ValueError("stage-B line columns must be a block partition")
+    col_offsets = tuple(
+        starts[i] for i in np.searchsorted(col_of, np.arange(n_cols + 1))
+    )
+
+    kept = [u for u in assigned if assignment.owner_row[u] == i_row]
+    a_out = tuple(
+        (mesh.rank_of(dst, j_col), sum(widths(units)),
+         _field_runs(plan, units, offsets(units), sub.lat0, layers))
+        for src, dst, units in moves if src == i_row
+    )
+    a_in = tuple(
+        (mesh.rank_of(src, j_col), sum(widths(units)),
+         _column_copies(offsets(units), [where[u] for u in units],
+                        widths(units)))
+        for src, dst, units in moves if dst == i_row
+    )
+
+    base = col_offsets[j_col]
+    lines = []
+    for u in assigned:
+        if assignment.line_col[u] != j_col:
+            continue
+        ru = plan.units[u]
+        transfer = np.asarray(plan.filter_for(ru).transfer(ru.lat))
+        c0 = where[u] - base
+        lines.append((c0, c0 + layers[ru.var], transfer[:, None]))
+
+    return TransposeSchedule(
+        nlon_loc=sub.nlon,
+        nlon=decomp.nlon,
+        row_ranks=tuple(mesh.row_ranks(i_row)),
+        kept=_field_runs(plan, kept, [where[u] for u in kept], sub.lat0,
+                         layers),
+        a_out=a_out,
+        a_in=a_in,
+        width=starts[-1],
+        col_offsets=col_offsets,
+        lon_bounds=tuple(
+            decomp.lon_bounds_of_proc_col(c) for c in range(n_cols)
+        ),
+        lines=tuple(lines),
+    )
+
+
+def _redistribute(ctx: VirtualComm, sends, peers: Sequence[int], tag: int):
+    """Generator: one stage-A direction — post every ``(peer, payload)``
+    of ``sends``, then receive one payload from each of ``peers``.
+
+    Returns the received payloads in ``peers`` order.  The batched and
+    the per-message (``legacy_engine``) paths keep the same wire order.
+    """
+    if _engine.batched():
+        if not (sends or peers):
+            return []
+        received = yield _staged_exchange(
+            [(peer, buf, tag, None, True) for peer, buf in sends],
+            [(peer, tag) for peer in peers],
+        )
+        return received[len(sends):]
+    for peer, buf in sends:
+        yield from ctx.send(peer, buf, tag=tag)
+    received = []
+    for peer in peers:
+        buf = yield from ctx.recv(peer, tag=tag)
+        received.append(buf)
+    return received
+
+
 def filter_fft_transpose(
     ctx: VirtualComm,
-    decomp: Decomposition2D,
-    plan: FilterPlan,
-    assignment: FilterAssignment,
+    schedule: TransposeSchedule,
     local_fields: Dict[str, np.ndarray],
 ):
     """Transpose-based FFT filtering, optionally load balanced.
 
     Stage A ships row-unit segments from owning to target processor rows
-    (identity when ``assignment`` is natural); stage B transposes within
+    (identity when the assignment is natural); stage B transposes within
     each processor row so complete lines land on their owning column;
-    local FFTs filter the lines; the inverse movements restore the
-    original layout (paper Figures 2-3 and Section 3.2).
+    one FFT pair filters all of the rank's lines; the inverse movements
+    restore the original layout (paper Figures 2-3 and Section 3.2).
+    Every index, peer and offset comes from this rank's compiled
+    ``schedule``; the call itself only moves and transforms data.
     """
-    mesh = decomp.mesh
-    sub = decomp.subdomain(ctx.rank)
-    i_row, j_col = mesh.coords_of(ctx.rank)
-    layers = _layers_of(local_fields)
+    s = schedule
+    dtype = np.result_type(*local_fields.values())
 
     # ---------- stage A: latitudinal redistribution --------------------
-    seg_store: Dict[int, np.ndarray] = {}
-    for u in assignment.units_assigned_to_row(i_row):
-        if assignment.owner_row[u] == i_row:
-            seg_store[u] = _segment(local_fields, plan, u, sub.lat0)
-
-    moves = assignment.stage_a_moves()
+    row = np.empty((s.nlon_loc, s.width), dtype)
+    _pack_runs(local_fields, row, s.kept)
     with ctx.span("filter.redistribute"):
-        if _engine.batched():
-            sends = [
-                (mesh.rank_of(dst, j_col),
-                 _pack_units(local_fields, plan, units, sub.lat0, sub.nlon),
-                 _TAG_STAGE_A, None, True)
-                for src, dst, units in moves if src == i_row
-            ]
-            incoming = [(src, units) for src, dst, units in moves
-                        if dst == i_row]
-            if sends or incoming:
-                received = yield _staged_exchange(
-                    sends,
-                    [(mesh.rank_of(src, j_col), _TAG_STAGE_A)
-                     for src, _ in incoming],
-                )
-                for (_, units), payload in zip(incoming,
-                                               received[len(sends):]):
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        seg_store[u] = seg
-        else:
-            for src, dst, units in moves:
-                if src == i_row:
-                    payload = _pack_units(local_fields, plan, units, sub.lat0,
-                                          sub.nlon)
-                    yield from ctx.send(
-                        mesh.rank_of(dst, j_col), payload, tag=_TAG_STAGE_A
-                    )
-            for src, dst, units in moves:
-                if dst == i_row:
-                    payload = yield from ctx.recv(
-                        mesh.rank_of(src, j_col), tag=_TAG_STAGE_A
-                    )
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        seg_store[u] = seg
+        sends = []
+        for peer, width, runs in s.a_out:
+            buf = np.empty((s.nlon_loc, width), dtype)
+            _pack_runs(local_fields, buf, runs)
+            sends.append((peer, buf))
+        received = yield from _redistribute(
+            ctx, sends, [peer for peer, _, _ in s.a_in], _TAG_STAGE_A
+        )
+        for (_, _, copies), buf in zip(s.a_in, received):
+            for src0, dst0, w in copies:
+                row[:, dst0 : dst0 + w] = buf[:, src0 : src0 + w]
 
     # ---------- stage B: transpose within the processor row ------------
-    assigned = assignment.units_assigned_to_row(i_row)
-    row_group = ctx.group(mesh.row_ranks(i_row))
-    n_cols = mesh.nlon_procs
-    by_col: List[List[int]] = [[] for _ in range(n_cols)]
-    for u in assigned:
-        by_col[assignment.line_col[u]].append(u)
-
-    if assigned:
-        chunks = []
-        for c in range(n_cols):
-            if by_col[c]:
-                chunks.append(
-                    np.ascontiguousarray(
-                        np.concatenate([seg_store[u] for u in by_col[c]], axis=1)
-                    )
-                )
-            else:
-                chunks.append(np.empty((sub.nlon, 0)))
+    if s.width:
+        offs = s.col_offsets
+        row_group = ctx.group(s.row_ranks)
         with ctx.span("filter.transpose"):
-            received = yield from row_group.alltoall(chunks)
-        my_units = by_col[j_col]
-        # Assemble complete lines: concatenate column segments along lon.
-        lines = np.concatenate([received[c] for c in range(n_cols)], axis=0)
-        if my_units:
+            received = yield from row_group.alltoall(
+                [row[:, offs[c] : offs[c + 1]] for c in range(len(offs) - 1)]
+            )
+        # Assemble complete lines: column segments stacked along lon.
+        lines = np.concatenate(received, axis=0)
+        if s.lines:
             # Whole-line FFTs: full vector length — the reason the paper
             # chose the transpose over a distributed 1-D FFT.
-            with ctx.span("filter.fft", lines=len(my_units)):
+            with ctx.span("filter.fft", lines=len(s.lines)):
                 yield from ctx.compute(
-                    flops=fft_filter_flop_count(
-                        decomp.nlon, 1, lines.shape[1]
-                    ),
+                    flops=fft_filter_flop_count(s.nlon, 1, lines.shape[1]),
                     mem_bytes=2.0 * lines.nbytes,
-                    inner_length=decomp.nlon,
+                    inner_length=s.nlon,
                 )
-            filtered = np.empty_like(lines)
-            per_in = _split_units(lines, plan, my_units, layers)
-            per_out = _split_units(filtered, plan, my_units, layers)
-            for u, line, out in zip(my_units, per_in, per_out):
-                out[...] = fft_filter_line(line, _unit_transfer(plan, u))
-        else:
-            filtered = lines  # (nlon, 0): nothing to do
+            lines = fft_filter_columns(lines, s.lines)
 
         # ---------- inverse stage B -------------------------------------
-        back_chunks = []
-        for col in range(n_cols):
-            lo, hi = decomp.lon_bounds_of_proc_col(col)
-            back_chunks.append(np.ascontiguousarray(filtered[lo:hi]))
         with ctx.span("filter.transpose"):
-            back = yield from row_group.alltoall(back_chunks)
-        for c in range(n_cols):
-            segs = _split_units(back[c], plan, by_col[c], layers)
-            for u, seg in zip(by_col[c], segs):
-                seg_store[u] = seg
+            back = yield from row_group.alltoall(
+                [lines[lo:hi] for lo, hi in s.lon_bounds]
+            )
+        row = np.concatenate(back, axis=1)
 
     # ---------- inverse stage A -----------------------------------------
     with ctx.span("filter.redistribute"):
-        if _engine.batched():
-            sends = [
-                (mesh.rank_of(src, j_col),
-                 np.ascontiguousarray(
-                     np.concatenate([seg_store[u] for u in units], axis=1)),
-                 _TAG_STAGE_A_BACK, None, True)
-                for src, dst, units in moves if dst == i_row
-            ]
-            incoming = [(dst, units) for src, dst, units in moves
-                        if src == i_row]
-            if sends or incoming:
-                received = yield _staged_exchange(
-                    sends,
-                    [(mesh.rank_of(dst, j_col), _TAG_STAGE_A_BACK)
-                     for dst, _ in incoming],
-                )
-                for (_, units), payload in zip(incoming,
-                                               received[len(sends):]):
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        _store_segment(local_fields, plan, u, sub.lat0, seg)
-        else:
-            for src, dst, units in moves:
-                if dst == i_row:
-                    payload = np.ascontiguousarray(
-                        np.concatenate([seg_store[u] for u in units], axis=1)
-                    )
-                    yield from ctx.send(
-                        mesh.rank_of(src, j_col), payload,
-                        tag=_TAG_STAGE_A_BACK
-                    )
-            for src, dst, units in moves:
-                if src == i_row:
-                    payload = yield from ctx.recv(
-                        mesh.rank_of(dst, j_col), tag=_TAG_STAGE_A_BACK
-                    )
-                    for u, seg in zip(
-                            units, _split_units(payload, plan, units, layers)):
-                        _store_segment(local_fields, plan, u, sub.lat0, seg)
+        sends = []
+        for peer, width, copies in s.a_in:
+            buf = np.empty((s.nlon_loc, width), dtype)
+            for src0, dst0, w in copies:
+                buf[:, src0 : src0 + w] = row[:, dst0 : dst0 + w]
+            sends.append((peer, buf))
+        received = yield from _redistribute(
+            ctx, sends, [peer for peer, _, _ in s.a_out], _TAG_STAGE_A_BACK
+        )
+        for (_, _, runs), buf in zip(s.a_out, received):
+            _unpack_runs(local_fields, buf, runs)
 
     # Write back the segments this rank both owns and was assigned.
-    for u in assignment.units_assigned_to_row(i_row):
-        if assignment.owner_row[u] == i_row:
-            _store_segment(local_fields, plan, u, sub.lat0, seg_store[u])
+    _unpack_runs(local_fields, row, s.kept)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Parallel filter drivers vs the serial reference — the key equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import (
     FILTER_BACKENDS,
     apply_serial_filter,
+    fft_filter_line,
     make_filter_plan,
     prepare_filter_backend,
 )
 from repro.grid import Decomposition2D, SphericalGrid
 from repro.parallel import GENERIC, ProcessorMesh, Simulator
+from repro.parallel.engine import legacy_engine
 from repro.verify import tolerances
 
 
@@ -33,6 +37,13 @@ def _run_backend(grid, fields, plan, backend_name, mesh_dims):
     mesh = ProcessorMesh(*mesh_dims)
     decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
     backend = prepare_filter_backend(backend_name, plan, decomp)
+    return _apply(backend, fields)
+
+
+def _apply(backend, fields):
+    """Scatter global ``fields``, run ``backend`` on every rank, gather."""
+    decomp = backend.decomp
+    mesh = decomp.mesh
 
     def program(ctx):
         local = {n: decomp.scatter(fields[n])[ctx.rank].copy() for n in fields}
@@ -74,6 +85,80 @@ class TestSerialEquivalence:
         gathered, _ = _run_backend(grid, fields, plan, "fft-lb", (4, 5))
         for n in fields:
             np.testing.assert_allclose(gathered[n], reference[n], atol=tolerances.FILTER_ATOL)
+
+
+def _unit_oracle(plan, fields):
+    """The per-unit arithmetic: ``fft_filter_line`` on each row unit's
+    complete (nlon, K) line, one unit at a time."""
+    out = {n: f.copy() for n, f in fields.items()}
+    for ru in plan.units:
+        out[ru.var][ru.lat] = fft_filter_line(
+            fields[ru.var][ru.lat], plan.filter_for(ru).transfer(ru.lat)
+        )
+    return out
+
+
+class TestTransposeExactness:
+    """One FFT pair over a rank's whole line block, driven by the
+    compiled schedule, must reproduce the per-unit filter bit for bit —
+    on both engine paths, including ranks that hold no lines."""
+
+    @pytest.mark.parametrize("engine", ["batched", "legacy"])
+    @pytest.mark.parametrize("backend", ["fft", "fft-lb"])
+    @pytest.mark.parametrize(
+        "mesh_dims", [(1, 4), (3, 1), (3, 4), (4, 5), (4, 12)]
+    )
+    def test_bit_identical_to_unit_oracle(self, setup, backend, mesh_dims,
+                                          engine):
+        grid, fields, plan, _ = setup
+        want = _unit_oracle(plan, fields)
+        mesh = ProcessorMesh(*mesh_dims)
+        decomp = Decomposition2D(grid.nlat, grid.nlon, mesh)
+        be = prepare_filter_backend(backend, plan, decomp)
+        if mesh_dims == (4, 5) and backend == "fft":
+            assert be.assignment.lines_per_rank().min() == 0
+        if mesh_dims == (4, 12):
+            assert be.assignment.lines_per_rank().min() == 0
+        if engine == "legacy":
+            with legacy_engine():
+                gathered, _ = _apply(be, fields)
+        else:
+            gathered, _ = _apply(be, fields)
+        for n in fields:
+            np.testing.assert_array_equal(
+                gathered[n], want[n],
+                err_msg=f"{backend} {mesh_dims} {engine} field {n}",
+            )
+
+    @pytest.mark.parametrize("scenario", ["redistributed-layers", "u-only"])
+    def test_schedule_keyed_on_layer_counts(self, setup, scenario):
+        """A backend reused on fields with other layer counts compiles a
+        new schedule instead of reusing offsets built for the first."""
+        grid, fields, plan, _ = setup
+        rng = np.random.default_rng(11)
+        if scenario == "u-only":
+            plan = make_filter_plan(grid, strong_vars=("u",), weak_vars=())
+            other = {"u": rng.standard_normal((grid.nlat, grid.nlon, 2))}
+        else:
+            # Same total layer count, spread differently over variables.
+            ks = {"u": 4, "v": 2, "pt": 3, "q": 3, "ps": 1}
+            other = {
+                n: rng.standard_normal((grid.nlat, grid.nlon, k))
+                for n, k in ks.items()
+            }
+        decomp = Decomposition2D(grid.nlat, grid.nlon, ProcessorMesh(3, 4))
+        be = prepare_filter_backend("fft-lb", plan, decomp)
+        for inputs in (fields, other):
+            want = {n: f.copy() for n, f in inputs.items()}
+            apply_serial_filter(plan, want, method="fft")
+            gathered, _ = _apply(be, inputs)
+            for n in inputs:
+                np.testing.assert_array_equal(gathered[n], want[n])
+        layers = {n: f.shape[2] for n, f in fields.items()}
+        first = be.transpose_schedule(0, layers)
+        assert be.transpose_schedule(0, layers) is first
+        assert be.transpose_schedule(
+            0, {n: f.shape[2] for n, f in other.items()}) is not first
 
 
 class TestCommunicationStructure:
@@ -147,6 +232,21 @@ class TestValidation:
         decomp = Decomposition2D(grid.nlat, grid.nlon, ProcessorMesh(1, 1))
         with pytest.raises(ValueError):
             prepare_filter_backend("dct", plan, decomp)
+
+    def test_non_block_line_columns_rejected(self, setup):
+        """The compiled transpose ships column slices of one packed row
+        array, so each processor column must own a consecutive block of
+        the row's units."""
+        grid, fields, plan, _ = setup
+        decomp = Decomposition2D(grid.nlat, grid.nlon, ProcessorMesh(1, 2))
+        backend = prepare_filter_backend("fft", plan, decomp)
+        backend.assignment = dataclasses.replace(
+            backend.assignment,
+            line_col=tuple(reversed(backend.assignment.line_col)),
+        )
+        layers = {n: f.shape[2] for n, f in fields.items()}
+        with pytest.raises(ValueError, match="block partition"):
+            backend.transpose_schedule(0, layers)
 
     def test_2d_field_rejected(self, setup):
         grid, fields, plan, _ = setup

@@ -88,6 +88,34 @@ class TestEquivalence:
             moved = sum(r["columns_moved"] for r in res.returns)
             assert moved > 0  # the balancer really ran
 
+    def test_setup_built_once_per_run(self, serial_reference, monkeypatch):
+        """Grid, filter plan, backend and dt are pure functions of the
+        config and decomposition: one rank builds them, all ranks of the
+        run share them, and a second run builds them again."""
+        cfg, ref = serial_reference
+        cfg2 = cfg.with_(filter_backend="fft-lb")
+        mesh = ProcessorMesh(2, 3)
+        decomp = Decomposition2D(cfg.nlat, cfg.nlon, mesh)
+        calls = {"make_filter_plan": 0, "prepare_filter_backend": 0}
+        for name in calls:
+            original = getattr(parallel_agcm, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(parallel_agcm, name, counting)
+        sim = Simulator(mesh.size, PARAGON)
+        for run in (1, 2):
+            res = sim.run(agcm_rank_program, cfg2, decomp, NSTEPS, True)
+            assert calls == {"make_filter_plan": run,
+                             "prepare_filter_backend": run}
+            gathered = _gather_fields(cfg2, (2, 3), res, decomp)
+            for name, want in ref.items():
+                np.testing.assert_allclose(
+                    gathered[name], want, atol=tolerances.FIELD_ATOL
+                )
+
     def test_machine_does_not_change_results(self, serial_reference):
         """Timing model and numerics are orthogonal."""
         cfg, ref = serial_reference

@@ -16,6 +16,7 @@ from repro.grid import Decomposition2D
 from repro.grid.decomposition3d import Decomposition3D
 from repro.model.agcm import AGCM
 from repro.model.config import make_config
+from repro.model import parallel_agcm
 from repro.model.parallel_agcm import agcm3d_rank_program, agcm_rank_program
 from repro.parallel import PARAGON, ProcessorMesh, Simulator
 from repro.verify import tolerances
@@ -64,6 +65,35 @@ class TestExactEquivalence:
                 gathered[name], want,
                 err_msg=f"{backend} {dims} field {name}",
             )
+
+    def test_setup_built_once_per_slab_per_run(self, serial_reference,
+                                               monkeypatch):
+        """Each slab decomposition's filter set-up is built by one rank
+        and shared by the rest of its slab; a second run builds again."""
+        cfg, ref = serial_reference
+        cfg2 = cfg.with_(filter_backend="fft-lb")
+        calls = {"make_filter_plan": 0, "prepare_filter_backend": 0}
+        for name in calls:
+            original = getattr(parallel_agcm, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(parallel_agcm, name, counting)
+        mesh = ProcessorMesh(2, 2, 2)
+        decomp = Decomposition3D(cfg.nlat, cfg.nlon, cfg.nlayers, mesh)
+        sim = Simulator(mesh.size, PARAGON)
+        for run in (1, 2):
+            res = sim.run(agcm3d_rank_program, cfg2, decomp, NSTEPS, True)
+            assert calls == {"make_filter_plan": run * mesh.nlev_procs,
+                             "prepare_filter_backend": run * mesh.nlev_procs}
+            for name, want in ref.items():
+                got = decomp.gather(
+                    [res.returns[r]["fields"][name] for r in range(mesh.size)],
+                    single_level=(name == "ps"),
+                )
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("backend", ["convolution-ring"])
     def test_convolution_within_loose_tolerance(self, serial_reference,

@@ -90,7 +90,7 @@ from repro import api
 from repro.api import RunResult
 from repro.options import RunOptions
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "__version__",

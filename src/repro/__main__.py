@@ -8,11 +8,10 @@ Usage::
     python -m repro all                  # everything (minutes)
     python -m repro report [PATH]        # full markdown report (minutes)
     python -m repro report --quick       # fast subset, printed to stdout
-    python -m repro run EXPERIMENT ... [--fast] [--obs|--no-obs]
+    python -m repro run EXPERIMENT ... [--obs|--no-obs]
                        [--cache-dir [PATH]] [--results-db [PATH]]
                                          # run through the unified
-                                         # options surface (--fast =
-                                         # engine fastpath; --results-db
+                                         # options surface (--results-db
                                          # records the run)
     python -m repro profile EXPERIMENT [--trace-out [PATH]]
                                        [--metrics-out [PATH]]
@@ -27,7 +26,7 @@ Usage::
                                          # matrix + buddy-vs-disk)
     python -m repro campaign [SELECTOR ...] [--sweep NAME] [--workers N]
                              [--cache-dir [PATH]] [--resume]
-                             [--obs|--no-obs] [--fast] [--no-cache]
+                             [--obs|--no-obs] [--no-cache]
                              [--report-out [PATH]] [--json-out [PATH]]
                              [--results] [--results-db [PATH]]
                              [--fleet HOST:PORT,...] [--listen [HOST:PORT]]
@@ -53,7 +52,7 @@ Usage::
                                          # (see `results -h`)
     python -m repro serve [--host HOST] [--port PORT] [--workers N]
                           [--queue-limit N] [--cache-dir [PATH]]
-                          [--results-db [PATH]] [--fast] [--no-obs]
+                          [--results-db [PATH]] [--no-obs]
                                          # always-on service gateway
                                          # (cache-first, coalescing,
                                          # admission control)
@@ -137,16 +136,12 @@ def _cmd_run(rest: list[str]) -> int:
 
     idents: list[str] = []
     obs = False
-    fast = False
     cache_dir: str | None = None
     results_db: str | None = None
     i = 0
     while i < len(rest):
         arg = rest[i]
-        if arg == "--fast":
-            fast = True
-            i += 1
-        elif arg == "--obs":
+        if arg == "--obs":
             obs = True
             i += 1
         elif arg == "--no-obs":
@@ -172,8 +167,7 @@ def _cmd_run(rest: list[str]) -> int:
     unknown = [ident for ident in idents if ident not in EXPERIMENTS]
     if unknown:
         return _unknown_experiment(unknown)
-    opts = RunOptions(obs=obs, fast=fast, cache_dir=cache_dir,
-                      results_db=results_db)
+    opts = RunOptions(obs=obs, cache_dir=cache_dir, results_db=results_db)
     for ident in idents:
         start = time.time()
         result = api.run(ident, options=opts)
@@ -208,12 +202,6 @@ def _cmd_profile(rest: list[str]) -> int:
             flamegraph_out, i = _optional_value(rest, i)
         elif arg == "--results-db":
             results_db, i = _db_default(rest, i)
-        elif arg == "--fast":
-            # Accepted for flag uniformity; profiling always observes
-            # and a live observer overrides the fastpath by contract.
-            print("profile: note: --fast is ignored (profiling always "
-                  "observes)", file=sys.stderr)
-            i += 1
         elif arg.startswith("-"):
             print(f"profile: unknown option {arg!r}", file=sys.stderr)
             return 2
@@ -339,7 +327,6 @@ def _cmd_campaign(rest: list[str]) -> int:
     cache_dir: str | None = None
     resume = False
     obs = False
-    fast = False
     use_cache = True
     report_out: str | None = None
     json_out: str | None = None
@@ -405,9 +392,6 @@ def _cmd_campaign(rest: list[str]) -> int:
         elif arg == "--no-obs":
             obs = False
             i += 1
-        elif arg == "--fast":
-            fast = True
-            i += 1
         elif arg == "--no-cache":
             use_cache = False
             i += 1
@@ -443,7 +427,7 @@ def _cmd_campaign(rest: list[str]) -> int:
             options=RunOptions(
                 workers=workers, cache_dir=cache_dir, resume=resume,
                 obs=obs, use_cache=use_cache, results_db=results_db,
-                fast=fast, fleet=fleet, max_attempts=max_attempts,
+                fleet=fleet, max_attempts=max_attempts,
             ),
         )
     except (KeyError, ValueError) as exc:
@@ -485,7 +469,6 @@ def _cmd_serve(rest: list[str]) -> int:
     queue_limit = 64
     cache_dir: str | None = None
     results_db: str | None = None
-    fast = False
     spans = True
     bench = False
     seed: int | None = None
@@ -523,9 +506,6 @@ def _cmd_serve(rest: list[str]) -> int:
             cache_dir = cache_dir or ".repro-serve-cache"
         elif arg == "--results-db":
             results_db, i = _db_default(rest, i)
-        elif arg == "--fast":
-            fast = True
-            i += 1
         elif arg == "--no-obs":
             # Per-request gateway spans off (the serve analogue of an
             # unobserved run).
@@ -574,7 +554,7 @@ def _cmd_serve(rest: list[str]) -> int:
     try:
         config = ServeConfig(host=host, port=port, pool_workers=workers,
                              queue_limit=queue_limit, cache_dir=cache_dir,
-                             results_db=results_db, fast=fast, spans=spans)
+                             results_db=results_db, spans=spans)
     except (TypeError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2

@@ -11,14 +11,13 @@ front door::
 
     res = api.run("fig1")                                # plain run
     res = api.run("fig1", options=RunOptions(obs=True))  # + spans
-    res = api.run("fig1", options=RunOptions(fast=True)) # fastpath
     print(res.render())
     res.observer.spans                                   # recorded spans
 
     api.profile("table8", trace_out="t.json")  # run + Perfetto export
 
-Execution knobs (observability, guard, faults, fastpath, cache and
-results-db locations, worker counts) travel together in a
+Execution knobs (observability, guard, faults, cache and results-db
+locations, worker counts) travel together in a
 :class:`repro.options.RunOptions`; the historical per-knob keywords
 (``obs=``, ``guard=``, ``workers=``, ...) keep working through
 deprecation shims.  See ``docs/performance.md`` for the migration
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.options import RunOptions, UNSET, merge_legacy
-from repro.parallel import engine as _engine
 from repro.obs import (
     Observer,
     activate,
@@ -170,8 +168,7 @@ def _record_api_run(db_path: str, experiment: str,
 
 
 def run(experiment: str, *, options: Any = None,
-        obs: Any = UNSET, guard: Any = UNSET,
-        fast: Any = UNSET, faults: Any = UNSET,
+        obs: Any = UNSET, guard: Any = UNSET, faults: Any = UNSET,
         **runner_options) -> RunResult:
     """Run a registered experiment and return a :class:`RunResult`.
 
@@ -190,9 +187,6 @@ def run(experiment: str, *, options: Any = None,
         for the default :class:`repro.guard.GuardConfig`, a policy name
         (``"halt"``, ``"rollback_retry"``, ``"rollback_adapt"``) or a
         full config;
-    ``fast``
-        opt into the engine fastpath (span bookkeeping skipped, scratch
-        arrays pooled; a live observer overrides it);
     ``faults``
         a :class:`repro.faults.FaultPlan` for fault-aware runners;
     ``results_db``
@@ -203,7 +197,7 @@ def run(experiment: str, *, options: Any = None,
     runner verbatim.
     """
     opts = merge_legacy(options, "repro.api.run",
-                        obs=obs, guard=guard, fast=fast, faults=faults)
+                        obs=obs, guard=guard, faults=faults)
     observer = _resolve_observer(opts.obs)
     gcfg = _resolve_guard(opts.guard)
     if gcfg is not None:
@@ -211,12 +205,7 @@ def run(experiment: str, *, options: Any = None,
     if opts.faults is not None:
         runner_options = dict(runner_options, faults=opts.faults)
     t0 = time.perf_counter()
-    if opts.fast:
-        with _engine.fastpath():
-            value = run_experiment(experiment, obs=observer,
-                                   **runner_options)
-    else:
-        value = run_experiment(experiment, obs=observer, **runner_options)
+    value = run_experiment(experiment, obs=observer, **runner_options)
     if opts.results_db:
         _record_api_run(opts.results_db, experiment, runner_options,
                         time.perf_counter() - t0)
@@ -235,7 +224,6 @@ def run_campaign(
     obs: Any = UNSET,
     use_cache: Any = UNSET,
     results_db: Any = UNSET,
-    fast: Any = UNSET,
     fleet: Any = UNSET,
     max_attempts: Any = UNSET,
 ):
@@ -273,8 +261,7 @@ def run_campaign(
     """
     opts = merge_legacy(options, "repro.api.run_campaign",
                         workers=workers, cache_dir=cache_dir, resume=resume,
-                        obs=obs, use_cache=use_cache, results_db=results_db,
-                        fast=fast)
+                        obs=obs, use_cache=use_cache, results_db=results_db)
     # fleet/max_attempts are first-class keywords (not legacy shims):
     # accepted directly, conflict-checked against options=.
     for name, value in (("fleet", fleet), ("max_attempts", max_attempts)):
@@ -292,7 +279,7 @@ def run_campaign(
         experiments, sweep=sweep, workers=opts.workers,
         cache_dir=opts.cache_dir, resume=opts.resume, obs=bool(opts.obs),
         use_cache=opts.use_cache, results_db=opts.results_db,
-        fast=opts.fast, fleet=opts.fleet, max_attempts=opts.max_attempts,
+        fleet=opts.fleet, max_attempts=opts.max_attempts,
     )
 
 
@@ -320,16 +307,15 @@ def profile(experiment: str, *, trace_out: Optional[str] = None,
     """Run an experiment under observation and export the artefacts.
 
     Always observes (``obs=None`` means a fresh observer here, unlike
-    :func:`run`) — which also means ``fast`` is moot: a live observer
-    overrides the fastpath by contract.  Writes a Perfetto-loadable
-    Chrome trace to ``trace_out``, a JSON metrics summary to
-    ``metrics_out`` and a folded-stack flamegraph dump to
-    ``flamegraph_out`` when given; any may be omitted.
+    :func:`run`).  Writes a Perfetto-loadable Chrome trace to
+    ``trace_out``, a JSON metrics summary to ``metrics_out`` and a
+    folded-stack flamegraph dump to ``flamegraph_out`` when given; any
+    may be omitted.
     """
     opts = merge_legacy(options, "repro.api.profile",
                         obs=obs, guard=guard, faults=faults)
     observer = _resolve_observer(opts.obs) or Observer()
-    result = run(experiment, options=opts.with_(obs=observer, fast=False),
+    result = run(experiment, options=opts.with_(obs=observer),
                  **runner_options)
     if trace_out:
         write_chrome_trace(observer, trace_out)

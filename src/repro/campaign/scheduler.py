@@ -55,23 +55,8 @@ def _mp_context():
         return mp.get_context("spawn")
 
 
-def _execute(unit: CampaignUnit, fast: bool):
-    """Run one unit, under the engine fastpath when requested.
-
-    The fastpath flag is threaded explicitly (not inherited) because
-    forked pool workers do not share the parent's contextvars.
-    """
-    if not fast:
-        return execute_unit(unit)
-    from repro.parallel import engine as _engine
-
-    with _engine.fastpath():
-        return execute_unit(unit)
-
-
 def _run_one(unit: CampaignUnit, worker: int,
-             cache: Optional[ResultCache], observe: bool,
-             fast: bool = False) -> UnitOutcome:
+             cache: Optional[ResultCache], observe: bool) -> UnitOutcome:
     """Execute one unit (in whatever process this is) and cache it."""
     t0 = time.perf_counter()
     value = None
@@ -83,10 +68,10 @@ def _run_one(unit: CampaignUnit, worker: int,
 
             obs = Observer()
             with activate(obs):
-                value = _execute(unit, fast)
+                value = execute_unit(unit)
             metrics = obs.metrics.as_dict()
         else:
-            value = _execute(unit, fast)
+            value = execute_unit(unit)
     except Exception as exc:  # noqa: BLE001 - reported per unit
         error = f"{type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - t0
@@ -116,14 +101,14 @@ def _run_one(unit: CampaignUnit, worker: int,
 
 
 def _worker_main(worker: int, cache_dir: Optional[str], observe: bool,
-                 task_q, result_q, fast: bool = False) -> None:
+                 task_q, result_q) -> None:
     """Worker loop: pull units until the sentinel, report each outcome."""
     cache = ResultCache(cache_dir) if cache_dir else None
     while True:
         unit = task_q.get()
         if unit is None:
             break
-        result_q.put(_run_one(unit, worker, cache, observe, fast))
+        result_q.put(_run_one(unit, worker, cache, observe))
 
 
 def _campaign_metrics(report: CampaignReport, merged: Sequence) -> None:
@@ -159,7 +144,6 @@ def run_campaign(
     obs: bool = False,
     use_cache: bool = True,
     results_db: Optional[str] = None,
-    fast: bool = False,
     fleet=None,
     max_attempts: Optional[int] = None,
 ) -> CampaignReport:
@@ -177,10 +161,7 @@ def run_campaign(
     worker metrics into ``report.metrics``.  ``results_db`` names a
     :mod:`repro.results` index file: every completed unit is recorded
     there as it arrives (ran/failed rows, hit-counter bumps), keyed on
-    the sha256 unit key so replays never duplicate rows.  ``fast=True``
-    runs every unit under the engine fastpath (bit-identical results,
-    span bookkeeping skipped) — the flag travels to pool workers
-    explicitly because fork does not carry the parent's contextvars.
+    the sha256 unit key so replays never duplicate rows.
 
     ``fleet`` switches dispatch to socket-transport workers (see
     :mod:`repro.fleet`): a :class:`~repro.fleet.FleetConfig`, an
@@ -269,7 +250,7 @@ def run_campaign(
             from repro.fleet.coordinator import FleetCoordinator
 
             coordinator = FleetCoordinator(fleet_cfg, cache,
-                                           observe=obs, fast=fast)
+                                           observe=obs)
             fleet_run = coordinator.run(pending)
             if fleet_run is None:
                 if not fleet_cfg.local_fallback:
@@ -300,11 +281,11 @@ def run_campaign(
 
     if nworkers <= 1:
         for unit in pending:
-            outcomes.append(_run_one(unit, 0, cache, obs, fast))
+            outcomes.append(_run_one(unit, 0, cache, obs))
     else:
         outcomes.extend(
             _run_pool(pending, nworkers,
-                      cache_dir if cache is not None else None, obs, fast,
+                      cache_dir if cache is not None else None, obs,
                       max_attempts=max_attempts or 1)
         )
 
@@ -334,7 +315,6 @@ def run_campaign(
 
 def _run_pool(pending: Sequence[CampaignUnit], nworkers: int,
               cache_dir: Optional[str], obs: bool,
-              fast: bool = False,
               max_attempts: int = 1) -> List[UnitOutcome]:
     """Dispatch ``pending`` to a worker pool; collect all outcomes.
 
@@ -357,7 +337,7 @@ def _run_pool(pending: Sequence[CampaignUnit], nworkers: int,
             tracker.start(unit.key)
         batch = _run_pool_once(
             remaining, max(1, min(nworkers, len(remaining))),
-            cache_dir, obs, fast,
+            cache_dir, obs,
         )
         for outcome in batch:
             outcome.attempt = tracker.attempts(outcome.key)
@@ -408,8 +388,7 @@ def _salvage_local(unit: CampaignUnit, cache: Optional[ResultCache],
 
 
 def _run_pool_once(pending: Sequence[CampaignUnit], nworkers: int,
-                   cache_dir: Optional[str], obs: bool,
-                   fast: bool = False) -> List[UnitOutcome]:
+                   cache_dir: Optional[str], obs: bool) -> List[UnitOutcome]:
     """One pool generation: dispatch, collect until done or all dead."""
     ctx = _mp_context()
     task_q = ctx.Queue()
@@ -422,7 +401,7 @@ def _run_pool_once(pending: Sequence[CampaignUnit], nworkers: int,
     procs = [
         ctx.Process(
             target=_worker_main,
-            args=(w, cache_dir, obs, task_q, result_q, fast),
+            args=(w, cache_dir, obs, task_q, result_q),
             daemon=True,
         )
         for w in range(nworkers)

@@ -8,7 +8,7 @@ connection exists:
 
 1. worker sends ``hello`` (name, host, pid, its cache dir if any);
 2. coordinator replies ``welcome`` (worker id, cache dir to use,
-   heartbeat interval, observe/fast flags);
+   heartbeat interval, observe flag);
 3. a daemon thread pushes ``heartbeat`` frames every interval — the
    coordinator's dead-host detector watches for their silence;
 4. the main loop serves ``assign`` frames: execute the unit with the
@@ -142,7 +142,6 @@ class Worker:
         worker_id = int(welcome.get("worker_id", -1))
         interval = float(welcome.get("heartbeat_interval", 0.5))
         observe = bool(welcome.get("observe", False))
-        fast = bool(welcome.get("fast", False))
         cache_dir = self.cache_dir or welcome.get("cache_dir")
         cache = ResultCache(cache_dir) if cache_dir else None
 
@@ -169,7 +168,7 @@ class Worker:
                     continue
                 unit = payload["unit"]
                 attempt = int(payload.get("attempt", 1))
-                outcome = _run_one(unit, worker_id, cache, observe, fast)
+                outcome = _run_one(unit, worker_id, cache, observe)
                 outcome.attempt = attempt
                 outcome.host = self.host
                 self.completed += 1

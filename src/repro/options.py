@@ -3,18 +3,18 @@
 The run surface grew one keyword at a time — ``obs=`` on
 :func:`repro.api.run`, ``guard=`` for supervised runs, ``faults=`` on
 the simulators, ``cache_dir=``/``results_db=``/``workers=`` on the
-campaign engine, and the engine overhaul adds ``fast=``.  Each entry
-point accepted a different subset with different spellings.
+campaign engine.  Each entry point accepted a different subset with
+different spellings.
 :class:`RunOptions` collapses them into one value accepted uniformly::
 
     from repro import api
     from repro.options import RunOptions
 
-    opts = RunOptions(fast=True, results_db="runs.sqlite")
+    opts = RunOptions(obs=True, results_db="runs.sqlite")
     api.run("fig1", options=opts)
     api.run_campaign(sweep="smoke", options=opts.with_(workers=4))
 
-A plain dict works too (``options={"fast": True}``); unknown keys fail
+A plain dict works too (``options={"obs": True}``); unknown keys fail
 with a did-you-mean hint instead of being silently ignored.  The old
 per-knob keywords keep working through deprecation shims that fold them
 into a ``RunOptions`` — passing a knob both ways is a conflict error.
@@ -58,8 +58,7 @@ class RunOptions:
 
     #: Observability: ``None``/``False`` for an uninstrumented run,
     #: ``True`` for a fresh :class:`repro.obs.Observer`, or an existing
-    #: observer to aggregate several runs.  A live observer overrides
-    #: ``fast`` (the engine never silently drops requested data).
+    #: observer to aggregate several runs.
     obs: Any = None
     #: Numerical-health supervision for guard-aware runners: ``True``
     #: for the default :class:`repro.guard.GuardConfig`, a policy name,
@@ -67,10 +66,6 @@ class RunOptions:
     guard: Any = None
     #: Optional :class:`repro.faults.FaultPlan` for fault-aware runners.
     faults: Any = None
-    #: Opt into the engine fastpath: span/region bookkeeping skipped,
-    #: subdomain scratch arrays pooled.  Results and clocks are
-    #: bit-identical; phase accounting comes back empty.
-    fast: bool = False
     #: Content-addressed result store (campaign/serve); ``None``
     #: disables persistent caching.
     cache_dir: Optional[str] = None

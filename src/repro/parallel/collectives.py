@@ -472,7 +472,7 @@ def _pairwise_transpose(comm, chunks: Sequence[Any], tag: int):
     The shift schedule is closed and per-round matched exactly like
     :func:`alltoall_pairwise`, so the group declaration routes large
     transposes through the scheduler's vectorized ``_bulk_exchange``
-    fastpath.
+    path.
     """
     size = comm.size
     check_chunk_count(chunks, size, "transpose")

@@ -21,7 +21,7 @@ complexity comparisons rely on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import NULL_OBSERVER, NULL_SPAN, _LiveSpan
@@ -30,10 +30,6 @@ from repro.parallel import engine as _engine
 from repro.parallel.events import Barrier, Compute, Exchange, Recv, Send
 from repro.parallel.machine import MachineModel
 from repro.parallel.trace import Trace
-
-#: Shared no-op context manager returned by ``region()`` on the fastpath
-#: (one object, zero per-call bookkeeping).
-_NULL_REGION = nullcontext()
 
 #: Base tag reserved for collective traffic so user tags never collide.
 COLLECTIVE_TAG = 0x7FFF0000
@@ -173,7 +169,7 @@ class VirtualComm(GroupComm):
     """
 
     def __init__(self, rank: int, size: int, machine: MachineModel,
-                 trace: Trace, observer=None, fast: bool = False,
+                 trace: Trace, observer=None,
                  run_memo: Optional[dict] = None):
         self._rank = rank
         self._size = size
@@ -182,11 +178,6 @@ class VirtualComm(GroupComm):
         #: The observability sink (see :mod:`repro.obs`); the shared
         #: NULL_OBSERVER unless the simulator was given a live one.
         self.obs = observer if observer is not None else NULL_OBSERVER
-        #: Fastpath flag (see :mod:`repro.parallel.engine`): when True,
-        #: ``region()`` skips phase accounting entirely and rank programs
-        #: may pool scratch arrays.  Set by the Simulator; never True
-        #: with a live observer attached.
-        self.fast = bool(fast)
         #: Host-side memo shared by every rank of one ``Simulator.run``.
         #: Rank programs keep results here that are pure functions of
         #: inputs every rank holds identically (the physics-LB plan from
@@ -245,23 +236,15 @@ class VirtualComm(GroupComm):
         """Current virtual time on this rank [s]."""
         return self._state.clock if self._state is not None else 0.0
 
-    def region(self, name: str):
+    @contextmanager
+    def region(self, name: str) -> Iterator[None]:
         """Attribute the enclosed virtual time to phase ``name`` in the trace.
 
         Elapsed time includes blocking waits, matching how the paper's
         per-component timings were measured.  With a live observer
         attached the region is also recorded as a span, so the coarse
-        phase structure appears in exported traces for free.  On the
-        fastpath (``ctx.fast``) regions are shared no-ops: phase
-        accounting is skipped entirely, which is the documented trade of
-        ``fast=True`` (see docs/performance.md).
+        phase structure appears in exported traces for free.
         """
-        if self.fast:
-            return _NULL_REGION
-        return self._region(name)
-
-    @contextmanager
-    def _region(self, name: str) -> Iterator[None]:
         obs = self.obs
         sid = obs.begin(self._rank, name, self.clock) if obs.enabled else -1
         self.trace.open_region(self._rank, name, self.clock)

@@ -1,6 +1,6 @@
-"""Engine execution modes: batched collectives and the opt-in fastpath.
+"""Engine execution mode: batched collectives or the per-message path.
 
-Two process-wide (contextvar-scoped) switches control how the
+One process-wide (contextvar-scoped) switch controls how the
 discrete-event engine executes rank programs:
 
 * **batched** (default on) — collectives and paired exchanges yield one
@@ -15,15 +15,7 @@ discrete-event engine executes rank programs:
   the pre-batching per-message path — used by the differential pairs and
   the ``sim_events_per_second`` probe to compare old-vs-new end to end.
 
-* **fastpath** (default off) — an opt-in mode for runs that only need
-  results and clocks: span/region bookkeeping is skipped entirely and
-  subdomain scratch arrays are pooled (:class:`repro.util.ArrayPool`).
-  Phase accounting (``SimResult.trace.phase_elapsed``) is empty in fast
-  mode, so experiments that read it must not enable it.  A live
-  observer always wins over ``fast``: the engine never silently drops
-  data that was explicitly asked for.
-
-Both switches use :class:`contextvars.ContextVar`, so serve-gateway
+The switch uses :class:`contextvars.ContextVar`, so serve-gateway
 threads and campaign worker processes can hold different modes without
 races.
 """
@@ -36,23 +28,15 @@ from typing import Iterator
 
 __all__ = [
     "batched",
-    "fastpath_active",
     "legacy_engine",
-    "fastpath",
 ]
 
 _BATCHED: ContextVar[bool] = ContextVar("repro_engine_batched", default=True)
-_FASTPATH: ContextVar[bool] = ContextVar("repro_engine_fastpath", default=False)
 
 
 def batched() -> bool:
     """True when collectives should yield batched :class:`Exchange` ops."""
     return _BATCHED.get()
-
-
-def fastpath_active() -> bool:
-    """True when the ambient fastpath (skip span/trace bookkeeping) is on."""
-    return _FASTPATH.get()
 
 
 @contextmanager
@@ -68,18 +52,3 @@ def legacy_engine() -> Iterator[None]:
         yield
     finally:
         _BATCHED.reset(token)
-
-
-@contextmanager
-def fastpath(enabled: bool = True) -> Iterator[None]:
-    """Enable the ambient fastpath for the enclosed code.
-
-    Simulators constructed inside pick it up unless given an explicit
-    ``fast=`` argument; a live observer on a run still takes precedence
-    over the skip (see the module docstring for the contract).
-    """
-    token = _FASTPATH.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _FASTPATH.reset(token)

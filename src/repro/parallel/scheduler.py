@@ -322,12 +322,6 @@ class Simulator:
         machine misbehaves on the plan's deterministic schedule: compute
         slowdowns, message drops with timeout/retransmit (accounted in
         the trace under the ``"retry"`` phase), and rank failures.
-    fast:
-        ``True`` skips span/region bookkeeping on every rank context (the
-        opt-in fastpath; results and clocks are bit-identical, phase
-        accounting is empty).  ``None`` (default) defers to the ambient
-        :func:`repro.parallel.engine.fastpath` mode.  A live observer
-        takes precedence: with one attached, bookkeeping stays on.
 
     Example
     -------
@@ -345,8 +339,7 @@ class Simulator:
     """
 
     def __init__(self, nranks: int, machine: MachineModel,
-                 record_events: bool = False, faults=None, observer=None,
-                 fast: Optional[bool] = None):
+                 record_events: bool = False, faults=None, observer=None):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
@@ -368,7 +361,6 @@ class Simulator:
         #: singleton — so experiment code need not thread the observer
         #: through every call for `python -m repro profile` to see it.
         self.observer = observer
-        self.fast = fast
 
     # ------------------------------------------------------------------
     def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> SimResult:
@@ -388,18 +380,13 @@ class Simulator:
                 label=getattr(program, "__name__", "program"),
                 nranks=self.nranks,
             )
-        fast = self.fast
-        if fast is None:
-            fast = _engine.fastpath_active()
-        # The observer always wins: a live one keeps bookkeeping on.
-        fast = bool(fast) and not obs.enabled
 
         trace = Trace(self.nranks, record_events=self.record_events)
         run_memo: Dict[Any, Any] = {}
         states: List[_RankState] = []
         for rank in range(self.nranks):
             ctx = VirtualComm(rank, self.nranks, self.machine, trace,
-                              observer=obs, fast=fast, run_memo=run_memo)
+                              observer=obs, run_memo=run_memo)
             gen = program(ctx, *args, **kwargs)
             state = _RankState(rank, gen)
             ctx._state = state  # back-reference for clock access

@@ -127,9 +127,7 @@ def blas_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> None:
 
 
 #: Scratch buffers keyed by (shape, dtype), LRU-bounded at
-#: :data:`_AXPY_BUF_MAX` entries — this started life as a private dict
-#: here and is now an :class:`repro.util.ArrayPool` (PR 8 generalized it
-#: for subdomain scratch across the codebase).
+#: :data:`_AXPY_BUF_MAX` entries (an :class:`repro.util.ArrayPool`).
 _AXPY_BUF_MAX = 8
 _AXPY_POOL = ArrayPool(max_entries=_AXPY_BUF_MAX)
 

@@ -3,8 +3,7 @@
 Times the *host* cost of the virtual machine on a collective-heavy rank
 program at the paper's production 240-rank size, comparing
 
-* the batched engine (``Exchange`` ops + cohort dispatch) with the
-  fastpath enabled, against
+* the batched engine (``Exchange`` ops + cohort dispatch), against
 * the legacy per-message engine (``repro.parallel.legacy_engine()``),
 
 and reports simulated communication events per wall-clock second.  An
@@ -78,7 +77,7 @@ def run_probe(
 ) -> Dict[str, float]:
     """Measure both engine paths and return the metric dict.
 
-    Returns ``sim_events_per_second`` (batched + fastpath),
+    Returns ``sim_events_per_second`` (batched engine),
     ``sim_events_per_second_loop`` (legacy per-message engine) and their
     ratio ``sim_event_engine_speedup``; also asserts the two paths agree
     on the virtual makespan — a cheap canary for the bit-identity
@@ -90,26 +89,24 @@ def run_probe(
 
     # Warm both paths first (lazy numpy imports, bytecode caches) so the
     # timed runs measure the engines, not process start-up.
-    with _engine.fastpath():
-        _timed_run(min(nranks, 32), 1, machine)
+    _timed_run(min(nranks, 32), 1, machine)
     with _engine.legacy_engine():
         _timed_run(min(nranks, 32), 1, machine)
 
-    with _engine.fastpath():
-        fast = _timed_run(nranks, rounds, machine)
+    batched = _timed_run(nranks, rounds, machine)
     metrics: Dict[str, float] = {
         "sim_probe_ranks": float(nranks),
         "sim_probe_rounds": float(rounds),
-        "sim_probe_events": fast["events"],
-        "sim_events_per_second": fast["events"] / fast["wall_seconds"],
+        "sim_probe_events": batched["events"],
+        "sim_events_per_second": batched["events"] / batched["wall_seconds"],
     }
     if include_loop:
         with _engine.legacy_engine():
             loop = _timed_run(nranks, rounds, machine)
-        if loop["virtual_elapsed"] != fast["virtual_elapsed"]:
+        if loop["virtual_elapsed"] != batched["virtual_elapsed"]:
             raise AssertionError(
                 "engine paths disagree on virtual time: batched="
-                f"{fast['virtual_elapsed']!r} loop={loop['virtual_elapsed']!r}"
+                f"{batched['virtual_elapsed']!r} loop={loop['virtual_elapsed']!r}"
             )
         metrics["sim_events_per_second_loop"] = (
             loop["events"] / loop["wall_seconds"]

@@ -97,20 +97,6 @@ def _result_sha256(value: Any) -> str:
     return hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
 
 
-def _fast_runner(unit: CampaignUnit):
-    """Default executor under :class:`ServeConfig` ``fast=True``.
-
-    Enters the engine fastpath *inside* the pool thread: units run on
-    ``run_in_executor`` threads, and contextvars set on the event loop
-    do not propagate there.
-    """
-    from repro.campaign.units import execute_unit
-    from repro.parallel import engine as _engine
-
-    with _engine.fastpath():
-        return execute_unit(unit)
-
-
 class Gateway:
     """Always-on front end over the run/campaign facade.
 
@@ -138,8 +124,6 @@ class Gateway:
             from repro.results.provenance import current_git_sha
 
             self._git_sha = current_git_sha()
-        if runner is None and self.config.fast:
-            runner = _fast_runner
         self.pool = WorkerPool(
             self.config.pool_workers, cache=self.cache, runner=runner,
             results_db=self.config.results_db, git_sha=self._git_sha,

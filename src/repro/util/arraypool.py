@@ -1,24 +1,21 @@
 """LRU-bounded pool of reusable scratch arrays.
 
-Generalizes the ``blas_axpy`` scratch-LRU from PR 5 into a reusable
-subdomain array pool: hot paths that repeatedly allocate same-shaped
-temporaries (halo-padded field blocks, kernel scratch) borrow an
-*uninitialized* buffer keyed by ``(shape, dtype, tag)`` instead of
-calling ``np.empty`` per step.
+The ``blas_axpy`` kernel (:mod:`repro.perf.kernels`) borrows its
+*uninitialized* scratch buffers from one of these, keyed by
+``(shape, dtype, tag)``, instead of calling ``np.empty`` per call.
 
-Lifetime rules (documented in docs/performance.md):
+Lifetime rules:
 
 * A buffer returned by :meth:`ArrayPool.scratch` is valid until the
   **next** ``scratch()`` call with the same key — callers must fully
   consume (or copy out of) a buffer before re-requesting it.
-* A pool belongs to one owner (one rank program, one kernel module);
-  sharing a pool across concurrently-live consumers of the same key
-  requires distinct ``tag`` values (e.g. the field name).
+* A pool belongs to one owner (one kernel module); sharing a pool
+  across concurrently-live consumers of the same key requires distinct
+  ``tag`` values.
 * Buffers that will be *sent* as message payloads must NOT come from a
-  per-step pool: the eager-send engine may deliver the payload object
-  after the sender has moved on, so a recycled send buffer would be
-  overwritten before the receiver reads it.  Pool only receiver-local
-  scratch (the padded array a halo exchange fills in).
+  pool: the eager-send engine may deliver the payload object after the
+  sender has moved on, so a recycled send buffer would be overwritten
+  before the receiver reads it.
 
 The pool stores plain ``np.empty`` buffers: contents are undefined on
 return, exactly like ``np.empty``.  Eviction is least-recently-used once
@@ -34,7 +31,7 @@ import numpy as np
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["ArrayPool", "DEFAULT_POOL", "scratch"]
+__all__ = ["ArrayPool"]
 
 
 class ArrayPool:
@@ -89,14 +86,3 @@ class ArrayPool:
             "misses": self.misses,
             "entries": len(self._entries),
         }
-
-
-#: Process-wide pool used by kernels (e.g. ``blas_axpy``); rank programs
-#: that pool per-step subdomain scratch create their own instance so the
-#: pool's lifetime matches the program's.
-DEFAULT_POOL = ArrayPool()
-
-
-def scratch(shape, dtype: Any = float, tag: Hashable = "") -> np.ndarray:
-    """Borrow from the process-wide :data:`DEFAULT_POOL`."""
-    return DEFAULT_POOL.scratch(shape, dtype, tag)

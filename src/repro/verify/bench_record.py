@@ -88,7 +88,7 @@ SERVE_MAX_WARM_HIT_P99_US = 200_000.0
 FLEET_MAX_RECOVERY_OVERHEAD = 1.5
 
 #: Absolute floor on the event-engine overhaul (wall-clock ratio, so
-#: floor-gated): the batched engine + fastpath must simulate the
+#: floor-gated): the batched engine must simulate the
 #: collective-heavy 240-rank probe at least this many times faster than
 #: the legacy per-message engine (PR 8 acceptance: >= 3x).  A ratio of
 #: two wall-clock times on the same host in the same process, so it is
@@ -301,9 +301,8 @@ def check_constraints(metrics: Dict[str, float]) -> List[str]:
     if sim is not None and sim < SIM_MIN_EVENT_ENGINE_SPEEDUP:
         problems.append(
             f"sim_event_engine_speedup {sim:.2f}x is below the "
-            f"{SIM_MIN_EVENT_ENGINE_SPEEDUP:g}x floor (batched engine + "
-            f"fastpath vs the legacy per-message engine on the 240-rank "
-            f"probe)"
+            f"{SIM_MIN_EVENT_ENGINE_SPEEDUP:g}x floor (batched engine "
+            f"vs the legacy per-message engine on the 240-rank probe)"
         )
     s3d = metrics.get("sim_3d_speedup_vs_2d")
     if s3d is not None and s3d < SIM_MIN_3D_SPEEDUP:

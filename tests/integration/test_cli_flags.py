@@ -36,6 +36,11 @@ def _exit_code(argv):
                      id="fleet-worker"),
         pytest.param(["fleet", "echo", "--no-such-flag"], id="fleet-echo"),
         pytest.param(["fleet", "frobnicate"], id="fleet-unknown-sub"),
+        # --fast (a removed engine mode) is refused, not ignored.
+        pytest.param(["run", "table5", "--fast"], id="run-fast"),
+        pytest.param(["profile", "table5", "--fast"], id="profile-fast"),
+        pytest.param(["campaign", "table5", "--fast"], id="campaign-fast"),
+        pytest.param(["serve", "--fast"], id="serve-fast"),
     ],
 )
 def test_unknown_flag_exits_2(argv, capsys):

@@ -1,12 +1,11 @@
 """Tests for the array-based event engine: cohort-queue ordering
 (property-tested), the bulk group-synchronous exchange executor, the
-legacy-engine escape hatch and the fastpath contract."""
+and the legacy-engine escape hatch."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import collectives as coll
 from repro.parallel import engine as _engine
 from repro.parallel.events import Exchange
 from repro.parallel.machine import GENERIC
@@ -287,40 +286,10 @@ class TestDesynchronisedCollectives:
 
 
 # ----------------------------------------------------------------------
-# fastpath + engine selection contracts
+# engine selection contract
 # ----------------------------------------------------------------------
 
-def _collective_mix_program(ctx, data):
-    mine = data[ctx.rank]
-    gathered = yield from ctx.allgather(mine)
-    total = yield from coll.allreduce_recursive_doubling(
-        ctx, float(mine.sum())
-    )
-    return {"g": np.stack(gathered), "t": total}
-
-
-class TestFastpathContract:
-    def test_fastpath_results_bit_identical(self):
-        p = 8
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((p, 5))
-        ref = Simulator(p, GENERIC).run(_collective_mix_program, data)
-        with _engine.fastpath():
-            fast = Simulator(p, GENERIC).run(_collective_mix_program, data)
-        assert fast.clocks == ref.clocks
-        assert fast.elapsed == ref.elapsed
-        for r in range(p):
-            np.testing.assert_array_equal(
-                fast.returns[r]["g"], ref.returns[r]["g"]
-            )
-            assert fast.returns[r]["t"] == ref.returns[r]["t"]
-
-    def test_fastpath_flag_restores(self):
-        assert not _engine.fastpath_active()
-        with _engine.fastpath():
-            assert _engine.fastpath_active()
-        assert not _engine.fastpath_active()
-
+class TestEngineSelection:
     def test_legacy_engine_flag_restores(self):
         assert _engine.batched()
         with _engine.legacy_engine():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util import arraypool
-from repro.util.arraypool import DEFAULT_POOL, ArrayPool
+from repro.util.arraypool import ArrayPool
 
 
 class TestScratch:
@@ -93,15 +92,3 @@ class TestLifecycle:
             ArrayPool(max_entries=0)
         with pytest.raises(TypeError, match="positive integer"):
             ArrayPool(max_entries=2.5)
-
-
-class TestModuleLevelPool:
-    def test_scratch_uses_default_pool(self):
-        before = DEFAULT_POOL.stats()
-        tag = ("test", id(self))  # unique key: first call must miss
-        arraypool.scratch((2,), tag=tag)
-        a = arraypool.scratch((2,), tag=tag)
-        after = DEFAULT_POOL.stats()
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] == before["hits"] + 1
-        assert a is DEFAULT_POOL.scratch((2,), tag=tag)

@@ -18,10 +18,9 @@ front door::
 
 Execution knobs (observability, guard, faults, cache and results-db
 locations, worker counts) travel together in a
-:class:`repro.options.RunOptions`; the historical per-knob keywords
-(``obs=``, ``guard=``, ``workers=``, ...) keep working through
-deprecation shims.  See ``docs/performance.md`` for the migration
-table.
+:class:`repro.options.RunOptions` passed as ``options=``; the removed
+per-knob keywords (``obs=``, ``guard=``, ``workers=``, ...) are refused
+with a ``TypeError`` naming that spelling.  See ``docs/performance.md``.
 
 ``run`` is keyword-only beyond the experiment identifier, mirroring
 :func:`repro.reporting.run_experiment`; all runner options pass through
@@ -34,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
-from repro.options import RunOptions, UNSET, merge_legacy
+from repro.options import FIELD_NAMES, RunOptions
 from repro.obs import (
     Observer,
     activate,
@@ -94,7 +93,7 @@ class RunResult:
         if self.observer is None:
             raise ValueError(
                 f"run {self.experiment!r} was not observed; "
-                f"pass obs=True (or an Observer) to repro.api.run"
+                f"pass options=RunOptions(obs=True) to repro.api.run"
             )
         return self.observer
 
@@ -167,8 +166,19 @@ def _record_api_run(db_path: str, experiment: str,
         )
 
 
+def _refuse_run_options(caller: str, runner_options: Dict[str, Any]) -> None:
+    """A ``RunOptions`` field among the runner keywords is a removed
+    spelling: refuse it rather than hand it to the runner raw (a raw
+    ``guard=True`` would skip :func:`_resolve_guard`)."""
+    for name in runner_options:
+        if name in FIELD_NAMES:
+            raise TypeError(
+                f"{caller}: {name}= is not a runner option; pass "
+                f"options=RunOptions({name}=...)"
+            )
+
+
 def run(experiment: str, *, options: Any = None,
-        obs: Any = UNSET, guard: Any = UNSET, faults: Any = UNSET,
         **runner_options) -> RunResult:
     """Run a registered experiment and return a :class:`RunResult`.
 
@@ -192,12 +202,12 @@ def run(experiment: str, *, options: Any = None,
     ``results_db``
         record the run in the :mod:`repro.results` index.
 
-    The old per-knob keywords (``obs=``, ``guard=``, ...) still work via
-    deprecation shims.  Remaining keyword options go to the experiment
-    runner verbatim.
+    Remaining keyword options go to the experiment runner verbatim; a
+    ``RunOptions`` field name among them (``obs=True``, say) raises
+    ``TypeError``.
     """
-    opts = merge_legacy(options, "repro.api.run",
-                        obs=obs, guard=guard, faults=faults)
+    _refuse_run_options("repro.api.run", runner_options)
+    opts = RunOptions.coerce(options)
     observer = _resolve_observer(opts.obs)
     gcfg = _resolve_guard(opts.guard)
     if gcfg is not None:
@@ -218,24 +228,18 @@ def run_campaign(
     *,
     sweep: Optional[str] = None,
     options: Any = None,
-    workers: Any = UNSET,
-    cache_dir: Any = UNSET,
-    resume: Any = UNSET,
-    obs: Any = UNSET,
-    use_cache: Any = UNSET,
-    results_db: Any = UNSET,
-    fleet: Any = UNSET,
-    max_attempts: Any = UNSET,
 ):
     """Run a process-parallel, cache-backed campaign over the registry.
 
     ``experiments`` is a list of unit selectors (``"table8"`` for every
     enumerated point, ``"table8@4x8"`` for one), or None to use the
     named ``sweep`` (``"smoke"`` by default; see
-    :data:`repro.campaign.SWEEPS`).  Units are sharded across
-    ``workers`` processes with dynamic longest-first scheduling and
-    memoized in the content-addressed store at ``cache_dir``; a rerun
-    (or ``resume=True`` after an interrupt) replays cached units and
+    :data:`repro.campaign.SWEEPS`).  Knobs travel in
+    ``options=`` (a :class:`repro.options.RunOptions` or a dict of its
+    fields).  Units are sharded across ``workers`` processes with
+    dynamic longest-first scheduling and memoized in the
+    content-addressed store at ``cache_dir``; a rerun (or
+    ``resume=True`` after an interrupt) replays cached units and
     recomputes only what a code or parameter change invalidated.
     Returns a :class:`repro.campaign.CampaignReport` (per-unit status,
     cache hit/miss accounting, worker utilization, speedup vs serial,
@@ -250,29 +254,14 @@ def run_campaign(
     ones, or ``True``.  ``max_attempts`` caps re-dispatches of units
     lost to dying workers before quarantine.
 
-    Knobs travel in ``options=`` (a :class:`repro.options.RunOptions` or
-    a dict); the per-knob keywords remain as deprecation shims.  A bad
-    worker count dies here, at the facade, before the campaign machinery
-    (and multiprocessing) ever loads: `workers=0` used to slip through
-    and surface as a confusing pool-side failure.
+    A bad worker count dies here, at the facade (``RunOptions``
+    validates it), before the campaign machinery and multiprocessing
+    ever load.
 
     Lazy import: the campaign engine pulls in ``multiprocessing`` and
     the full registry; the facade stays importable without it.
     """
-    opts = merge_legacy(options, "repro.api.run_campaign",
-                        workers=workers, cache_dir=cache_dir, resume=resume,
-                        obs=obs, use_cache=use_cache, results_db=results_db)
-    # fleet/max_attempts are first-class keywords (not legacy shims):
-    # accepted directly, conflict-checked against options=.
-    for name, value in (("fleet", fleet), ("max_attempts", max_attempts)):
-        if value is UNSET:
-            continue
-        if options is not None and getattr(opts, name) is not None:
-            raise ValueError(
-                f"repro.api.run_campaign: {name!r} was passed both in "
-                f"options= and as a keyword; set it once"
-            )
-        opts = opts.with_(**{name: value})
+    opts = RunOptions.coerce(options)
     from repro.campaign import run_campaign as _run_campaign
 
     return _run_campaign(
@@ -302,7 +291,6 @@ def profile(experiment: str, *, trace_out: Optional[str] = None,
             metrics_out: Optional[str] = None,
             flamegraph_out: Optional[str] = None,
             options: Any = None,
-            obs: Any = UNSET, guard: Any = UNSET, faults: Any = UNSET,
             **runner_options) -> RunResult:
     """Run an experiment under observation and export the artefacts.
 
@@ -312,8 +300,8 @@ def profile(experiment: str, *, trace_out: Optional[str] = None,
     folded-stack flamegraph dump to ``flamegraph_out`` when given; any
     may be omitted.
     """
-    opts = merge_legacy(options, "repro.api.profile",
-                        obs=obs, guard=guard, faults=faults)
+    _refuse_run_options("repro.api.profile", runner_options)
+    opts = RunOptions.coerce(options)
     observer = _resolve_observer(opts.obs) or Observer()
     result = run(experiment, options=opts.with_(obs=observer),
                  **runner_options)

@@ -13,8 +13,9 @@ Layout under the cache root::
       manifest.json          # last campaign plan (used by --resume)
       ab/
         ab3f...e2.pkl        # pickled unit result (atomic tmp+rename)
-        ab3f...e2.json       # sidecar: ident, point, duration, version,
-                             #          created_at, bytes, result_sha256
+        ab3f...e2.json       # sidecar: ident, point, params, duration,
+                             #   version, worker, host (sidecar_meta),
+                             #   key, created_at, bytes, result_sha256
 
 Values are stored with :mod:`pickle` (results are numpy-laden Python
 objects); sidecars are JSON so the store can be inspected — and the
@@ -28,11 +29,14 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import tempfile
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-__all__ = ["ResultCache", "cache_key", "canonical_params"]
+from repro import __version__
+
+__all__ = ["ResultCache", "cache_key", "canonical_params", "sidecar_meta"]
 
 
 def canonical_params(obj: Any) -> Any:
@@ -69,6 +73,28 @@ def cache_key(ident: str, params: Any, version: str) -> str:
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def sidecar_meta(unit: Any, duration: float, worker: Any,
+                 host: Optional[str] = None) -> Dict[str, Any]:
+    """The writer's half of a computed unit's sidecar.
+
+    Every front end that computes a unit (campaign and fleet workers,
+    the serve pool, the fleet coordinator mirroring a reported result)
+    stores it with this meta, so the result index reads the same row
+    from an entry whoever wrote it.  ``worker`` is the pool index, or
+    ``"serve"`` for the gateway; ``host`` (``hostname:pid``) defaults
+    to this process.  :meth:`ResultCache.put` adds the provenance half.
+    """
+    return {
+        "ident": unit.ident,
+        "point": unit.point.label,
+        "params": canonical_params(unit.point.as_dict()),
+        "duration": duration,
+        "version": __version__,
+        "worker": worker,
+        "host": host or f"{socket.gethostname()}:{os.getpid()}",
+    }
 
 
 class ResultCache:

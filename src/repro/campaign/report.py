@@ -11,7 +11,7 @@ the duration recorded when they were first computed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.util.tables import Table
 
@@ -33,8 +33,9 @@ class UnitOutcome:
     label: str
     key: str
     status: str
-    #: Worker index that produced it; -1 for parent-side cache hits.
-    worker: int
+    #: Worker index that produced it; -1 for parent-side cache hits,
+    #: ``"serve"`` for the gateway's pool.
+    worker: Union[int, str]
     #: Wall-clock seconds this campaign spent on the unit (for a hit:
     #: the probe/load time, not the original compute).
     seconds: float

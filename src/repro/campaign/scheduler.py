@@ -28,16 +28,17 @@ from typing import List, Optional, Sequence
 
 from repro import __version__
 from repro.campaign.cache import ResultCache
-from repro.util.validation import check_positive_int
 from repro.campaign.report import CampaignReport, UnitOutcome
 from repro.campaign.units import (
     CampaignUnit,
     describe_sweep,
     enumerate_units,
+    execute_and_cache,
     execute_unit,
     sort_for_schedule,
     unit_manifest_entry,
 )
+from repro.util.validation import check_positive_int
 
 __all__ = ["run_campaign"]
 
@@ -58,45 +59,30 @@ def _mp_context():
 def _run_one(unit: CampaignUnit, worker: int,
              cache: Optional[ResultCache], observe: bool) -> UnitOutcome:
     """Execute one unit (in whatever process this is) and cache it."""
-    t0 = time.perf_counter()
-    value = None
-    error = None
-    metrics = None
-    try:
-        if observe:
-            from repro.obs import Observer, activate
+    runner, obs = execute_unit, None
+    if observe:
+        from repro.obs import Observer, activate
 
-            obs = Observer()
+        obs = Observer()
+
+        def runner(u: CampaignUnit):
             with activate(obs):
-                value = execute_unit(unit)
-            metrics = obs.metrics.as_dict()
-        else:
-            value = execute_unit(unit)
+                return execute_unit(u)
+
+    t0 = time.perf_counter()
+    try:
+        value, seconds = execute_and_cache(unit, cache, worker, runner)
     except Exception as exc:  # noqa: BLE001 - reported per unit
-        error = f"{type(exc).__name__}: {exc}"
-    seconds = time.perf_counter() - t0
-    if cache is not None and error is None:
-        import socket
-
-        from repro.campaign.cache import canonical_params
-
-        cache.put(
-            unit.key, value,
-            meta={
-                "ident": unit.ident,
-                "point": unit.point.label,
-                "params": canonical_params(unit.point.as_dict()),
-                "duration": seconds,
-                "version": __version__,
-                "worker": worker,
-                "host": f"{socket.gethostname()}:{os.getpid()}",
-            },
+        seconds = time.perf_counter() - t0
+        return UnitOutcome(
+            ident=unit.ident, label=unit.label, key=unit.key,
+            status="failed", worker=worker, seconds=seconds,
+            compute_seconds=seconds, error=f"{type(exc).__name__}: {exc}",
         )
     return UnitOutcome(
-        ident=unit.ident, label=unit.label, key=unit.key,
-        status="failed" if error else "ran",
+        ident=unit.ident, label=unit.label, key=unit.key, status="ran",
         worker=worker, seconds=seconds, compute_seconds=seconds,
-        error=error, result=value, metrics=metrics,
+        result=value, metrics=obs.metrics.as_dict() if obs else None,
     )
 
 
@@ -224,23 +210,24 @@ def run_campaign(
 
     # -- parent-side cache probe: hits never reach the pool -------------
     pending: List[CampaignUnit] = []
-    for unit in units:
-        if use_cache and cache is not None and cache.contains(unit.key):
+    if use_cache and cache is not None:
+        from repro.fleet.salvage import salvage_value
+
+        for unit in units:
             p0 = time.perf_counter()
-            value = cache.get(unit.key)
-            if value is not None:
-                meta = cache.meta(unit.key)
-                outcomes.append(UnitOutcome(
-                    ident=unit.ident, label=unit.label, key=unit.key,
-                    status="hit", worker=-1,
-                    seconds=time.perf_counter() - p0,
-                    compute_seconds=float(
-                        meta.get("duration", unit.est_cost)
-                    ),
-                    result=value,
-                ))
+            got = salvage_value(unit.key, (), cache)
+            if got is None:
+                pending.append(unit)
                 continue
-        pending.append(unit)
+            value, meta = got
+            outcomes.append(UnitOutcome(
+                ident=unit.ident, label=unit.label, key=unit.key,
+                status="hit", worker=-1, seconds=time.perf_counter() - p0,
+                compute_seconds=float(meta.get("duration", unit.est_cost)),
+                result=value,
+            ))
+    else:
+        pending = list(units)
 
     pending = sort_for_schedule(pending)
 
@@ -327,6 +314,7 @@ def _run_pool(pending: Sequence[CampaignUnit], nworkers: int,
     quarantined as a poison failure — never allowed to hang the parent.
     """
     from repro.fleet.requeue import AttemptTracker
+    from repro.fleet.salvage import salvage_value
 
     tracker = AttemptTracker(max_attempts)
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -344,47 +332,19 @@ def _run_pool(pending: Sequence[CampaignUnit], nworkers: int,
         outcomes.extend(batch)
         got = {o.key for o in batch}
         missing = [u for u in remaining if u.key not in got]
-        if not missing:
-            break
         remaining = []
         for unit in missing:
             tracker.record_loss(unit.key, "local-pool")
-            salvaged = _salvage_local(unit, cache, tracker)
+            # Cache-before-report: a worker killed between its cache
+            # write and its result-queue put left the unit on disk.
+            salvaged = salvage_value(unit.key, (), cache)
             if salvaged is not None:
-                outcomes.append(salvaged)
+                outcomes.append(tracker.salvaged(unit, *salvaged))
             elif tracker.exhausted(unit.key):
-                outcomes.append(UnitOutcome(
-                    ident=unit.ident, label=unit.label, key=unit.key,
-                    status="failed", worker=-1, seconds=0.0,
-                    compute_seconds=0.0,
-                    error=tracker.quarantine_error(unit.key, unit.label),
-                    attempt=tracker.attempts(unit.key),
-                ))
+                outcomes.append(tracker.quarantine(unit))
             else:
                 remaining.append(unit)
     return outcomes
-
-
-def _salvage_local(unit: CampaignUnit, cache: Optional[ResultCache],
-                   tracker) -> Optional[UnitOutcome]:
-    """A dead pool worker's unit, recovered from the shared cache.
-
-    Cache-before-report means a worker killed between the cache write
-    and the result-queue put leaves the finished unit on disk; probing
-    for it turns a recompute into a ``salvaged`` outcome.
-    """
-    if cache is None or not cache.contains(unit.key):
-        return None
-    value = cache.get(unit.key)
-    if value is None:
-        return None
-    meta = cache.meta(unit.key)
-    return UnitOutcome(
-        ident=unit.ident, label=unit.label, key=unit.key,
-        status="salvaged", worker=-1, seconds=0.0,
-        compute_seconds=float(meta.get("duration", 0.0) or 0.0),
-        result=value, attempt=tracker.attempts(unit.key),
-    )
 
 
 def _run_pool_once(pending: Sequence[CampaignUnit], nworkers: int,

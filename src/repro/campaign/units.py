@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.campaign.cache import cache_key
+from repro.campaign.cache import ResultCache, cache_key, sidecar_meta
 from repro.reporting.experiments import EXPERIMENTS, ParamPoint
 
 __all__ = [
@@ -38,7 +38,9 @@ __all__ = [
     "SLEEP_PREFIX",
     "SWEEPS",
     "enumerate_units",
+    "execute_and_cache",
     "execute_unit",
+    "schedule_key",
     "sort_for_schedule",
 ]
 
@@ -162,6 +164,13 @@ def enumerate_units(
     return units
 
 
+def schedule_key(unit: CampaignUnit) -> Tuple[float, str]:
+    """The LPT order of every work queue: longest estimate first, the
+    label breaking ties (campaign pool, serve priority queue, fleet
+    re-queue)."""
+    return (-unit.est_cost, unit.label)
+
+
 def sort_for_schedule(units: Sequence[CampaignUnit]) -> List[CampaignUnit]:
     """Longest-estimated-first (LPT) order for the dynamic work queue.
 
@@ -170,7 +179,7 @@ def sort_for_schedule(units: Sequence[CampaignUnit]) -> List[CampaignUnit]:
     the campaign never ends with everyone idle while one late-dispatched
     straggler (``table4`` at 240 nodes, say) runs alone.
     """
-    return sorted(units, key=lambda u: (-u.est_cost, u.label))
+    return sorted(units, key=schedule_key)
 
 
 def _resolve_options(options: Dict[str, object]) -> Dict[str, object]:
@@ -200,6 +209,26 @@ def execute_unit(unit: CampaignUnit):
         return {"slept": seconds, "unit": unit.label}
     spec = EXPERIMENTS[unit.ident]
     return spec(**_resolve_options(unit.point.as_dict()))
+
+
+def execute_and_cache(unit: CampaignUnit, cache: Optional[ResultCache],
+                      worker: Any,
+                      runner: Callable[[CampaignUnit], Any] = execute_unit,
+                      ) -> Tuple[Any, float]:
+    """Execute ``unit``, time it, and cache it before anyone hears of it.
+
+    The execute step of every front end (campaign and fleet workers, the
+    serve pool): the entry is durable on disk before the caller reports
+    the result, so a process killed after this returns leaves a complete
+    entry for salvage.  Returns ``(value, seconds)``; a runner exception
+    propagates and nothing is cached.
+    """
+    t0 = time.perf_counter()
+    value = runner(unit)
+    seconds = time.perf_counter() - t0
+    if cache is not None:
+        cache.put(unit.key, value, meta=sidecar_meta(unit, seconds, worker))
+    return value, seconds
 
 
 def describe_sweep(name: str) -> Tuple[str, ...]:

@@ -42,7 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.masks import FilterPlan, RowUnit
+from repro.core.masks import FilterPlan
 from repro.grid.decomposition import Decomposition2D
 from repro.util.partition import block_bounds, owner_of
 

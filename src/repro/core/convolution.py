@@ -14,7 +14,7 @@ complexity analysis says.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -29,8 +29,6 @@ preferred local mixed-radix library FFTs after a transpose.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 

@@ -11,10 +11,8 @@ the load balancer redistributes (eq. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.spectral import PolarFilter, strong_filter, weak_filter
 from repro.grid.sphere import SphericalGrid

@@ -54,7 +54,6 @@ from repro.core.balance_plan import (
 from repro.core.convolution import (
     circulant_matrix,
     convolution_filter_rows,
-    convolution_flop_count,
 )
 from repro.core.fft import (
     fft_filter_columns,

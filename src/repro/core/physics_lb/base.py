@@ -15,8 +15,8 @@ Definitions (paper, above Tables 1-3)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 

@@ -18,13 +18,10 @@ supplies the two implicit operators a GCM actually uses:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.dynamics.geometry import LocalGeometry
 from repro.grid.decomposition import Decomposition2D
-from repro.grid.halo import pad_with_halo
 from repro.solvers.cg import CGResult, cg_parallel, cg_serial
 from repro.solvers.helmholtz import HelmholtzOperator, helmholtz_flops_per_point
 from repro.solvers.tridiagonal import diffusion_system, solve_tridiagonal

@@ -17,7 +17,7 @@ called" (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 

@@ -32,6 +32,7 @@ recompute, never the campaign.
 
 from __future__ import annotations
 
+import bisect
 import os
 import selectors
 import socket
@@ -39,9 +40,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, sidecar_meta
 from repro.campaign.report import UnitOutcome
-from repro.campaign.units import CampaignUnit
+from repro.campaign.units import CampaignUnit, schedule_key
 from repro.fleet.config import FleetConfig, parse_address
 from repro.fleet.frames import FrameDecoder, FrameError, encode_frame
 from repro.fleet.requeue import AttemptTracker
@@ -341,24 +342,13 @@ class FleetCoordinator:
         reported value is written here too — unless the worker shares
         the dir and the entry already landed.
         """
-        if (self.cache is None or outcome.status != "ran"
+        if (self.cache is None or unit is None or outcome.status != "ran"
                 or outcome.error is not None
                 or self.cache.contains(outcome.key)):
             return
-        from repro import __version__
-        from repro.campaign.cache import canonical_params
-
-        meta = {
-            "ident": outcome.ident,
-            "duration": outcome.compute_seconds,
-            "version": __version__,
-            "worker": outcome.worker,
-            "host": outcome.host,
-        }
-        if unit is not None:
-            meta["point"] = unit.point.label
-            meta["params"] = canonical_params(unit.point.as_dict())
-        self.cache.put(outcome.key, outcome.result, meta=meta)
+        self.cache.put(outcome.key, outcome.result, meta=sidecar_meta(
+            unit, outcome.compute_seconds, outcome.worker, outcome.host,
+        ))
 
     def _send(self, conn: _Conn, kind: str, payload=None) -> bool:
         data = encode_frame(kind, payload,
@@ -414,20 +404,11 @@ class FleetCoordinator:
         if self._try_salvage(unit, tracker, f"death of {host}"):
             return
         if tracker.exhausted(unit.key):
-            self.done[unit.key] = UnitOutcome(
-                ident=unit.ident, label=unit.label, key=unit.key,
-                status="failed", worker=-1, seconds=0.0,
-                compute_seconds=0.0,
-                error=tracker.quarantine_error(unit.key, unit.label),
-                attempt=tracker.attempts(unit.key), host=host,
-            )
+            self.done[unit.key] = tracker.quarantine(unit, host)
             self._event("quarantine", worker=host, detail=unit.label)
             return
         # Back onto the LPT queue, keeping the longest-first invariant.
-        at = 0
-        while at < len(queue) and queue[at].est_cost >= unit.est_cost:
-            at += 1
-        queue.insert(at, unit)
+        bisect.insort(queue, unit, key=schedule_key)
         self._event("requeue", worker=host, detail=unit.label)
 
     def _try_salvage(self, unit: CampaignUnit, tracker: AttemptTracker,
@@ -435,15 +416,7 @@ class FleetCoordinator:
         got = salvage_value(unit.key, self.salvage_dirs, self.cache)
         if got is None:
             return False
-        value, meta = got
-        attempt = max(1, tracker.attempts(unit.key))
-        self.done[unit.key] = UnitOutcome(
-            ident=unit.ident, label=unit.label, key=unit.key,
-            status="salvaged", worker=-1, seconds=0.0,
-            compute_seconds=float(meta.get("duration", 0.0) or 0.0),
-            result=value, attempt=attempt,
-            host=meta.get("host") or None,
-        )
+        self.done[unit.key] = tracker.salvaged(unit, *got)
         self.salvaged += 1
         self._event("salvage", detail=f"{unit.label} ({why})")
         return True

@@ -10,7 +10,9 @@ Both execution paths hand lost units to one :class:`AttemptTracker`:
 The tracker answers the only two questions recovery needs — *which
 attempt is this?* and *has this unit exhausted its budget?* — and
 remembers where each attempt died, so a quarantined unit's error names
-every host that tried it.  A unit that kills whatever runs it is
+every host that tried it.  It also builds the two outcomes a lost unit
+can end with: ``salvaged`` (its worker cached it before dying) and the
+quarantine failure.  A unit that kills whatever runs it is
 *poison*: without the attempt cap it would bounce between workers
 forever, taking each one down in turn.
 """
@@ -18,7 +20,9 @@ forever, taking each one down in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List, Optional
+
+from repro.campaign.report import UnitOutcome
 
 __all__ = ["AttemptTracker"]
 
@@ -58,4 +62,25 @@ class AttemptTracker:
             f"worker died before completing this unit; {label!r} "
             f"quarantined as poison after {n}/{self.max_attempts} "
             f"attempt(s){where}"
+        )
+
+    def quarantine(self, unit: Any,
+                   host: Optional[str] = None) -> UnitOutcome:
+        """The failed outcome of a unit that used its whole budget."""
+        return UnitOutcome(
+            ident=unit.ident, label=unit.label, key=unit.key,
+            status="failed", worker=-1, seconds=0.0, compute_seconds=0.0,
+            error=self.quarantine_error(unit.key, unit.label),
+            attempt=self.attempts(unit.key), host=host,
+        )
+
+    def salvaged(self, unit: Any, value: Any,
+                 meta: Dict[str, Any]) -> UnitOutcome:
+        """The outcome of a lost unit recovered from a cache entry."""
+        return UnitOutcome(
+            ident=unit.ident, label=unit.label, key=unit.key,
+            status="salvaged", worker=-1, seconds=0.0,
+            compute_seconds=float(meta.get("duration", 0.0) or 0.0),
+            result=value, attempt=max(1, self.attempts(unit.key)),
+            host=meta.get("host") or None,
         )

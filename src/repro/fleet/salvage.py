@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache
 
@@ -74,7 +74,9 @@ def salvage_value(key: str, dirs: Sequence[str],
     entry.  The main cache is probed first (a worker sharing the
     coordinator's cache dir is the common same-host case); a hit found
     only in a worker-local dir is copied into the main cache so every
-    future campaign replays it as an ordinary hit.
+    future campaign replays it as an ordinary hit.  With no ``dirs``
+    this is the plain cache probe: the campaign parent's hit check and
+    the local pool's recovery of a dead worker's unit.
     """
     if main_cache is not None and main_cache.contains(key):
         value = main_cache.get(key)
@@ -89,12 +91,10 @@ def salvage_value(key: str, dirs: Sequence[str],
     if value is None:  # torn or unreadable payload: not salvageable
         return None
     if main_cache is not None and main_cache.root != donor.root:
-        # Re-put rather than byte-copy: put() restamps provenance and
-        # keeps the sidecar recipe (bytes, result_sha256) authoritative.
-        keep = {k: meta[k] for k in
-                ("ident", "point", "params", "duration", "version",
-                 "worker", "host") if k in meta}
-        main_cache.put(key, value, meta=keep)
+        # Re-put rather than byte-copy: put() keeps the writer's meta
+        # and restamps provenance, so the sidecar recipe (bytes,
+        # result_sha256) stays authoritative.
+        main_cache.put(key, value, meta=meta)
     return value, meta
 
 

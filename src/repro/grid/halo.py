@@ -16,8 +16,6 @@ Two implementations are provided and cross-checked in tests:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.grid.decomposition import Decomposition2D

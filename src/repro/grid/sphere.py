@@ -9,7 +9,7 @@ toward the poles, violating the CFL condition there for a fixed time step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

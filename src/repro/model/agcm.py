@@ -32,7 +32,7 @@ from repro.core.masks import FilterPlan, make_filter_plan
 from repro.core.parallel_filter import apply_serial_filter
 from repro.dynamics.geometry import LocalGeometry
 from repro.dynamics.implicit import implicit_vertical_diffusion
-from repro.dynamics.state import ModelState, PROGNOSTIC_NAMES
+from repro.dynamics.state import ModelState
 from repro.dynamics.tendencies import compute_tendencies
 from repro.dynamics.timestep import euler_step, leapfrog_step, pin_polar_v
 from repro.grid.halo import pad_with_halo

@@ -13,7 +13,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro import constants as c
 from repro.dynamics.state import ModelState, PHI_SCALE, PT_REFERENCE
 from repro.grid.sphere import SphericalGrid
 

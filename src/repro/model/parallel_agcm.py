@@ -32,7 +32,6 @@ workload-induced imbalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

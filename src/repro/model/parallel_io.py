@@ -10,8 +10,7 @@ rank programs.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro import constants as c
 from repro.model.config import AGCMConfig
 from repro.parallel.trace import SimResult
 

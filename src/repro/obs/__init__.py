@@ -20,7 +20,8 @@ Observability is off by default and *zero-cost when disabled*: hot paths
 check a single ``enabled`` attribute on the shared
 :data:`NULL_OBSERVER`.  Enable it by passing ``observer=Observer()`` to
 :class:`repro.parallel.Simulator`, via the :func:`repro.api.run` facade
-(``run("fig1", obs=Observer())``), or from the command line::
+(``run("fig1", options=RunOptions(obs=Observer()))``), or from the
+command line::
 
     python -m repro profile fig1 --trace-out /tmp/t.json --metrics-out /tmp/m.json
 

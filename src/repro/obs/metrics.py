@@ -13,7 +13,7 @@ Instruments are namespaced by dots (``sim.messages_sent``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Union
 
 __all__ = [

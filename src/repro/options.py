@@ -15,36 +15,22 @@ different spellings.
     api.run_campaign(sweep="smoke", options=opts.with_(workers=4))
 
 A plain dict works too (``options={"obs": True}``); unknown keys fail
-with a did-you-mean hint instead of being silently ignored.  The old
-per-knob keywords keep working through deprecation shims that fold them
-into a ``RunOptions`` — passing a knob both ways is a conflict error.
+with a did-you-mean hint instead of being silently ignored.  ``options=``
+is the only spelling: the old per-knob keywords (``obs=``,
+``workers=``, ...) are refused with a ``TypeError`` naming it.
 
-See ``docs/performance.md`` for the migration table.
+See ``docs/performance.md`` for the removed spellings.
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["RunOptions", "UNSET", "coerce_options", "merge_legacy"]
-
-
-class _Unset:
-    """Sentinel distinguishing "knob not passed" from an explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "UNSET"
-
-
-#: Default of every legacy per-knob keyword on the facade functions.
-UNSET = _Unset()
+__all__ = ["RunOptions", "coerce_options"]
 
 
 @dataclass(frozen=True)
@@ -130,37 +116,3 @@ def _check_field_names(mapping: Dict[str, Any], caller: str) -> None:
 def coerce_options(options: Any) -> RunOptions:
     """Public alias of :meth:`RunOptions.coerce` for facade modules."""
     return RunOptions.coerce(options)
-
-
-def merge_legacy(options: Any, caller: str, **legacy) -> RunOptions:
-    """Fold legacy per-knob keywords into a :class:`RunOptions`.
-
-    ``legacy`` maps knob names to the values the caller received, with
-    :data:`UNSET` meaning "not passed".  Passed knobs emit a
-    :class:`DeprecationWarning` naming the replacement; a knob given
-    both through ``options=`` (non-default) and as a keyword is
-    ambiguous and raises :class:`ValueError`.
-    """
-    _check_field_names(
-        {k: v for k, v in legacy.items() if v is not UNSET}, caller
-    )
-    opts = RunOptions.coerce(options)
-    changes = {}
-    for name, value in legacy.items():
-        if value is UNSET:
-            continue
-        if options is not None:
-            default = RunOptions.__dataclass_fields__[name].default
-            if getattr(opts, name) != default:
-                raise ValueError(
-                    f"{caller}: {name!r} was passed both in options= "
-                    f"and as a keyword; set it once, on options"
-                )
-        warnings.warn(
-            f"{caller}: the {name}= keyword is deprecated; pass "
-            f"options=RunOptions({name}=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        changes[name] = value
-    return opts.with_(**changes) if changes else opts

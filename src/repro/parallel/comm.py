@@ -22,7 +22,7 @@ complexity comparisons rely on.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.obs.spans import NULL_OBSERVER, NULL_SPAN, _LiveSpan
 from repro.parallel import collectives as coll

@@ -67,7 +67,7 @@ from repro.parallel.events import (
 )
 from repro.parallel.machine import MachineModel
 from repro.parallel.timeline import Event as _Event
-from repro.parallel.trace import RankAccounting, SimResult, Trace
+from repro.parallel.trace import SimResult, Trace
 
 #: Exchanges with at least this many statically-sized rounds get their
 #: send costs priced in one vectorized NumPy pass.

@@ -11,7 +11,7 @@ Machine presets supply the mid-90s cache geometries (Paragon i860: 16 KB
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 

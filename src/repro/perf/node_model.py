@@ -22,7 +22,7 @@ from repro.perf.access_patterns import (
     mixed_loops_block,
     mixed_loops_separate,
 )
-from repro.perf.cache_sim import CacheSim, CacheStats, loop_time
+from repro.perf.cache_sim import CacheSim, loop_time
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ on per-rank totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 

@@ -14,7 +14,7 @@ seconds-per-simulated-day (see :mod:`repro.model.timing_report`).
 from __future__ import annotations
 
 import timeit
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -12,7 +12,7 @@ from __future__ import annotations
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.reporting.experiments import EXPERIMENTS, ExperimentResult
 

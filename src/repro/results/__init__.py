@@ -10,11 +10,7 @@ service gateway.  See ``docs/results.md``.
 """
 
 from repro.results.db import DEFAULT_DB, ResultsDB, open_readonly
-from repro.results.hooks import (
-    record_campaign_outcomes,
-    record_unit_execution,
-    record_unit_hit,
-)
+from repro.results.hooks import record_campaign_outcomes, record_unit
 from repro.results.ingest import Ingestor, IngestStats, bench_entry_key
 from repro.results.provenance import current_git_sha
 from repro.results.prune import PruneReport, prune_cache
@@ -38,8 +34,7 @@ __all__ = [
     "open_readonly",
     "prune_cache",
     "record_campaign_outcomes",
-    "record_unit_execution",
-    "record_unit_hit",
+    "record_unit",
     "run_query",
     "runs_report",
     "trajectory_from_db",

@@ -5,45 +5,25 @@ completed units to the content-addressed cache; with a ``results_db``
 path configured they additionally record each completed unit here — the
 campaign parent as outcomes arrive (a single sqlite writer, right after
 the worker's cache write), the gateway's pool thread at cache-write
-time.  Recording is best-effort bookkeeping on top of the cache's
-crash-safety story: if the process dies between cache write and index
-write, ``results ingest --cache-dir`` recovers the row idempotently
-from the sidecar.
+time and its hit path per hit.  Recording is best-effort bookkeeping on
+top of the cache's crash-safety story: if the process dies between
+cache write and index write, ``results ingest --cache-dir`` recovers
+the row idempotently from the sidecar.
+
+Every path — campaign ran/hit/failed, serve executed/hit, ingest —
+builds its ``runs`` row with :func:`record_unit`, from the sidecar, so
+one cache entry indexes to the same row whichever path records it
+first.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
-from repro.results.db import ResultsDB
+from repro.results.db import ResultsDB, _utcnow
 from repro.results.provenance import current_git_sha
 
-__all__ = [
-    "record_campaign_outcomes",
-    "record_unit_execution",
-    "record_unit_hit",
-]
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _sidecar(cache, key: str) -> Dict[str, Any]:
-    if cache is None:
-        return {}
-    return cache.meta(key)
-
-
-def _artifact_rows(cache, key: str, meta: Dict[str, Any]
-                   ) -> List[Tuple[str, Optional[str], Optional[int]]]:
-    if cache is None or not meta:
-        return []
-    pkl_path, _ = cache._paths(key)
-    nbytes = meta.get("bytes")
-    return [(pkl_path, meta.get("result_sha256"),
-             int(nbytes) if nbytes is not None else None)]
+__all__ = ["record_campaign_outcomes", "record_unit"]
 
 
 def _split_label(ident: str, label: str) -> str:
@@ -52,100 +32,70 @@ def _split_label(ident: str, label: str) -> str:
     return label[len(prefix):] if label.startswith(prefix) else label
 
 
+def record_unit(db: ResultsDB, key: str, meta: Dict[str, Any], *,
+                git_sha: Optional[str], cache=None,
+                status: str = "ran") -> bool:
+    """Insert the ``runs`` row of one unit; True if it was new.
+
+    ``meta`` is the unit's cache sidecar or, for a failed unit (or one
+    run without a cache), the same fields taken from its outcome.
+    Every column comes from it: ``source`` is ``"serve"`` when the
+    writer was the gateway, ``params`` falls back to ``{"point": ...}``.
+    With ``cache`` the entry's payload becomes the run's artifact.
+    """
+    point = str(meta.get("point", ""))
+    artifacts = []
+    if cache is not None:
+        nbytes = meta.get("bytes")
+        artifacts.append((cache._paths(key)[0], meta.get("result_sha256"),
+                          int(nbytes) if nbytes is not None else None))
+    return db.record_run(
+        run_key=key, cache_key=key,
+        source="serve" if meta.get("worker") == "serve" else "campaign",
+        ident=str(meta.get("ident", "?")), point=point,
+        params=meta.get("params", {"point": point}),
+        status=status, git_sha=git_sha,
+        created_at=meta.get("created_at") or _utcnow(),
+        metrics=({"duration_seconds": (float(meta["duration"]), "s")}
+                 if "duration" in meta else {}),
+        artifacts=artifacts,
+        host=meta.get("host"),
+    )
+
+
 def record_campaign_outcomes(db_path: str, outcomes: Iterable,
                              cache=None,
                              git_sha: Optional[str] = None) -> None:
-    """Record a campaign's per-unit outcomes into the index.
+    """Record per-unit outcomes (campaign, fleet or serve) in the index.
 
-    ``ran`` (and fleet ``salvaged``) inserts a row — with worker-host
-    attribution when the unit executed on a fleet worker — and upgrades
+    ``ran`` (and fleet ``salvaged``) inserts the unit's row and upgrades
     an earlier ``failed`` row for the same key; ``failed`` inserts a
     failed row; ``hit`` bumps the hit counter — inserting the row first
-    from the cache sidecar when the cache predates the index.  All
-    inserts are idempotent on the unit's sha256 key.
+    when the cache predates the index.  All inserts are idempotent on
+    the unit's sha256 key.  ``git_sha`` defaults to auto-resolution;
+    ``""`` stamps nothing.
     """
     sha = current_git_sha() if git_sha is None else (git_sha or None)
     with ResultsDB(db_path) as db:
         for o in outcomes:
-            point = _split_label(o.ident, o.label)
-            meta = _sidecar(cache, o.key)
-            params = meta.get("params", {"point": point})
-            host = getattr(o, "host", None) or meta.get("host")
+            if o.status == "hit" and db.record_hit(o.key):
+                continue
+            meta = (cache.meta(o.key)
+                    if cache is not None and o.status != "failed" else {})
+            entry = cache if meta else None
+            if not meta:
+                meta = {"ident": o.ident,
+                        "point": _split_label(o.ident, o.label),
+                        "duration": o.compute_seconds,
+                        "worker": o.worker, "host": o.host}
+            if o.status == "failed":
+                record_unit(db, o.key, meta, git_sha=sha, status="failed")
+                continue
+            record_unit(db, o.key, meta, git_sha=sha, cache=entry)
             if o.status == "hit":
-                if not db.record_hit(o.key):
-                    db.record_run(
-                        run_key=o.key, source="campaign", ident=o.ident,
-                        point=point, params=params, cache_key=o.key,
-                        status="ran", git_sha=sha,
-                        created_at=meta.get("created_at") or _utcnow(),
-                        metrics={"duration_seconds":
-                                 (o.compute_seconds, "s")},
-                        artifacts=_artifact_rows(cache, o.key, meta),
-                    )
-                    db.record_hit(o.key)
-            elif o.status == "failed":
-                db.record_run(
-                    run_key=o.key, source="campaign", ident=o.ident,
-                    point=point, params=params, cache_key=o.key,
-                    status="failed", git_sha=sha, created_at=_utcnow(),
-                    metrics={"duration_seconds": (o.seconds, "s")},
-                    host=host,
-                )
+                db.record_hit(o.key)
             else:
                 # "ran" on any worker, or "salvaged" from a dead one:
                 # either way the unit executed exactly once and its
                 # payload is in the cache.
-                db.record_run(
-                    run_key=o.key, source="campaign", ident=o.ident,
-                    point=point, params=params, cache_key=o.key,
-                    status="ran", git_sha=sha,
-                    created_at=meta.get("created_at") or _utcnow(),
-                    metrics={"duration_seconds": (o.compute_seconds, "s")},
-                    artifacts=_artifact_rows(cache, o.key, meta),
-                    host=host,
-                )
                 db.mark_ran(o.key)
-
-
-def record_unit_execution(db_path: str, unit, seconds: float,
-                          cache=None,
-                          git_sha: Optional[str] = None) -> None:
-    """Gateway hook: one freshly-executed unit, at cache-write time.
-
-    Runs on a pool thread; opens a short-lived connection so threads
-    never share a sqlite handle.
-    """
-    meta = _sidecar(cache, unit.key)
-    with ResultsDB(db_path) as db:
-        db.record_run(
-            run_key=unit.key, source="serve", ident=unit.ident,
-            point=unit.point.label,
-            params=meta.get("params", {"point": unit.point.label}),
-            cache_key=unit.key, status="ran", git_sha=git_sha,
-            created_at=meta.get("created_at") or _utcnow(),
-            metrics={"duration_seconds": (seconds, "s")},
-            artifacts=_artifact_rows(cache, unit.key, meta),
-        )
-        db.mark_ran(unit.key)
-
-
-def record_unit_hit(db_path: str, unit, cache=None,
-                    git_sha: Optional[str] = None) -> None:
-    """Gateway hook: a cache hit observed for ``unit``."""
-    with ResultsDB(db_path) as db:
-        if db.record_hit(unit.key):
-            return
-        meta = _sidecar(cache, unit.key)
-        db.record_run(
-            run_key=unit.key,
-            source="serve" if meta.get("worker") == "serve" else "campaign",
-            ident=unit.ident, point=unit.point.label,
-            params=meta.get("params", {"point": unit.point.label}),
-            cache_key=unit.key, status="ran", git_sha=git_sha,
-            created_at=meta.get("created_at") or _utcnow(),
-            metrics={"duration_seconds":
-                     (float(meta["duration"]), "s")}
-            if "duration" in meta else {},
-            artifacts=_artifact_rows(cache, unit.key, meta),
-        )
-        db.record_hit(unit.key)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.results.db import ResultsDB
+from repro.results.hooks import record_unit
 from repro.results.provenance import current_git_sha
 
 __all__ = ["IngestStats", "Ingestor", "bench_entry_key"]
@@ -136,30 +137,15 @@ class Ingestor:
                 stats.errors.append(f"{key[:12]}: unreadable sidecar")
                 continue
             try:
-                nbytes = meta.get("bytes")
-                if nbytes is None:
-                    nbytes = os.path.getsize(pkl_path)
-                sha = meta.get("result_sha256") or _file_sha256(pkl_path)
-                worker = meta.get("worker")
-                added = self.db.record_run(
-                    run_key=key,
-                    source="serve" if worker == "serve" else "campaign",
-                    ident=str(meta.get("ident", "?")),
-                    point=str(meta.get("point", "")),
-                    params=meta.get("params",
-                                    {"point": meta.get("point", ""),
-                                     "version": meta.get("version")}),
-                    cache_key=key,
-                    status="ran",
-                    git_sha=self.git_sha,
-                    created_at=(meta.get("created_at")
-                                or _mtime_iso(pkl_path)),
-                    metrics={
-                        "duration_seconds":
-                            (float(meta["duration"]), "s"),
-                    } if "duration" in meta else {},
-                    artifacts=[(pkl_path, sha, int(nbytes))],
-                )
+                # Fill what an old sidecar lacks from the payload file.
+                if meta.get("bytes") is None:
+                    meta["bytes"] = os.path.getsize(pkl_path)
+                meta["result_sha256"] = (meta.get("result_sha256")
+                                         or _file_sha256(pkl_path))
+                meta["created_at"] = (meta.get("created_at")
+                                      or _mtime_iso(pkl_path))
+                added = record_unit(self.db, key, meta,
+                                    git_sha=self.git_sha, cache=cache)
             except (OSError, TypeError, ValueError) as exc:
                 stats.errors.append(f"{key[:12]}: {exc}")
                 continue

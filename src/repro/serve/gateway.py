@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.report import UnitOutcome
 from repro.campaign.units import (
     CampaignUnit,
     describe_sweep,
@@ -117,13 +118,14 @@ class Gateway:
         self.metrics = ServeMetrics(
             registry, reservoir_size=self.config.reservoir_size
         )
-        self._git_sha: Optional[str] = None
+        self._git_sha = ""
         if self.config.results_db is not None:
             # Resolve provenance once (it shells out to git); the pool
-            # and the hit path stamp every recorded row with it.
+            # and the hit path stamp every recorded row with it ("" for
+            # none, so recording never shells out again).
             from repro.results.provenance import current_git_sha
 
-            self._git_sha = current_git_sha()
+            self._git_sha = current_git_sha() or ""
         self.pool = WorkerPool(
             self.config.pool_workers, cache=self.cache, runner=runner,
             results_db=self.config.results_db, git_sha=self._git_sha,
@@ -206,10 +208,15 @@ class Gateway:
                 seconds = time.perf_counter() - t0
                 self.metrics.unit("hit", seconds)
                 if self.config.results_db is not None:
-                    from repro.results.hooks import record_unit_hit
+                    from repro.results.hooks import record_campaign_outcomes
 
-                    record_unit_hit(self.config.results_db, unit,
-                                    self.cache, git_sha=self._git_sha)
+                    record_campaign_outcomes(
+                        self.config.results_db, [UnitOutcome(
+                            ident=unit.ident, label=unit.label,
+                            key=unit.key, status="hit", worker="serve",
+                            seconds=seconds, compute_seconds=unit.est_cost,
+                        )], self.cache, git_sha=self._git_sha,
+                    )
                 return self._entry(unit, "hit", seconds, value), value
 
         shared = self._inflight.get(unit.key)

@@ -2,9 +2,9 @@
 
 The pool reuses the campaign engine's scheduling discipline rather than
 its process pool: units wait in an :class:`asyncio.PriorityQueue`
-ordered longest-estimate-first (the same LPT rule as
-:func:`repro.campaign.units.sort_for_schedule`), and a fixed set of
-worker tasks pulls from it, running each unit's compute in a shared
+ordered longest-estimate-first (the campaign queue's LPT key,
+:func:`repro.campaign.units.schedule_key`), and a fixed set of worker
+tasks pulls from it, running each unit's compute in a shared
 :class:`~concurrent.futures.ThreadPoolExecutor` so the event loop never
 blocks.  Threads (not processes) because the gateway's answer store is
 the content-addressed cache: a finished unit is written to disk before
@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro import __version__
 from repro.campaign.cache import ResultCache
-from repro.campaign.units import CampaignUnit, execute_unit
+from repro.campaign.report import UnitOutcome
+from repro.campaign.units import (
+    CampaignUnit,
+    execute_and_cache,
+    execute_unit,
+    schedule_key,
+)
 
 __all__ = ["WorkerPool"]
 
@@ -49,7 +53,7 @@ class WorkerPool:
         self.results_db = results_db
         self.git_sha = git_sha
         self.runner = runner if runner is not None else execute_unit
-        self._queue: "asyncio.PriorityQueue[Tuple[float, int, Any]]" = (
+        self._queue: "asyncio.PriorityQueue[Tuple[Any, int, Any]]" = (
             asyncio.PriorityQueue()
         )
         self._seq = itertools.count()
@@ -95,7 +99,7 @@ class WorkerPool:
         future: "asyncio.Future[Any]" = (
             asyncio.get_running_loop().create_future()
         )
-        self._queue.put_nowait((-unit.est_cost, next(self._seq),
+        self._queue.put_nowait((schedule_key(unit), next(self._seq),
                                 (unit, future)))
         return future
 
@@ -111,28 +115,16 @@ class WorkerPool:
         index is configured, record the run right after the cache
         write — the index row and the cache entry describe the same
         payload)."""
-        from repro.campaign.cache import canonical_params
-
-        t0 = time.perf_counter()
-        value = self.runner(unit)
-        seconds = time.perf_counter() - t0
-        if self.cache is not None:
-            self.cache.put(
-                unit.key, value,
-                meta={
-                    "ident": unit.ident,
-                    "point": unit.point.label,
-                    "params": canonical_params(unit.point.as_dict()),
-                    "duration": seconds,
-                    "version": __version__,
-                    "worker": "serve",
-                },
-            )
+        value, seconds = execute_and_cache(unit, self.cache, "serve",
+                                           self.runner)
         if self.results_db is not None:
-            from repro.results.hooks import record_unit_execution
+            from repro.results.hooks import record_campaign_outcomes
 
-            record_unit_execution(self.results_db, unit, seconds,
-                                  self.cache, git_sha=self.git_sha)
+            record_campaign_outcomes(self.results_db, [UnitOutcome(
+                ident=unit.ident, label=unit.label, key=unit.key,
+                status="ran", worker="serve", seconds=seconds,
+                compute_seconds=seconds,
+            )], self.cache, git_sha=self.git_sha)
         return value
 
     async def _worker(self) -> None:

@@ -218,8 +218,11 @@ class TestApiIntegration:
     def test_guard_experiment_runs_via_api(self):
         from repro import api
 
+        from repro.options import RunOptions
+
         result = api.run(
-            "guard", guard=GuardConfig(buddy_every=2), nsteps=4,
+            "guard", options=RunOptions(guard=GuardConfig(buddy_every=2)),
+            nsteps=4,
         )
         text = result.render()
         assert "overhead" in text.lower()

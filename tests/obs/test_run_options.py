@@ -1,13 +1,11 @@
-"""RunOptions: coercion, legacy-keyword shims and facade integration."""
+"""RunOptions: coercion, removed keyword spellings and facade integration."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro import api
-from repro.options import UNSET, RunOptions, coerce_options, merge_legacy
+from repro.options import RunOptions, coerce_options
 from repro.serve.config import ServeConfig
 
 pytestmark = pytest.mark.obs
@@ -66,28 +64,40 @@ class TestWith:
             RunOptions().with_(fauts=True)
 
 
-class TestMergeLegacy:
-    def test_unset_knobs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = merge_legacy(None, "caller", obs=UNSET, resume=UNSET)
-        assert opts == RunOptions()
+class TestRemovedKeywords:
+    """The per-knob keywords are gone: ``options=`` is the one spelling.
+    A ``RunOptions`` field passed as a runner keyword must not reach the
+    runner raw (``guard=True`` would skip guard resolution)."""
 
-    def test_passed_knob_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="resume= keyword"):
-            opts = merge_legacy(None, "repro.api.run", resume=True)
-        assert opts.resume is True
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda: api.run("fig4_6", obs=True), "obs",
+                     id="run-obs"),
+        pytest.param(lambda: api.run("guard", guard=True), "guard",
+                     id="run-guard"),
+        pytest.param(lambda: api.run("fig4_6", faults=None), "faults",
+                     id="run-faults"),
+        pytest.param(lambda: api.profile("fig4_6", obs=True), "obs",
+                     id="profile-obs"),
+        pytest.param(lambda: api.profile("fig4_6", guard="halt"), "guard",
+                     id="profile-guard"),
+        pytest.param(lambda: api.profile("fig4_6", faults=None), "faults",
+                     id="profile-faults"),
+        pytest.param(lambda: api.run("fig4_6", results_db="x.db"),
+                     "results_db", id="run-results_db"),
+    ])
+    def test_run_and_profile_name_the_options_spelling(self, call, name):
+        with pytest.raises(TypeError,
+                           match=rf"options=RunOptions\({name}=\.\.\.\)"):
+            call()
 
-    def test_conflict_with_options_raises(self):
-        with pytest.raises(ValueError, match="set it once, on options"):
-            merge_legacy(RunOptions(resume=True), "caller", resume=False)
-
-    def test_legacy_knob_alongside_other_options_fields_is_fine(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy(
-                RunOptions(workers=2), "caller", resume=True
-            )
-        assert opts.resume is True and opts.workers == 2
+    @pytest.mark.parametrize("name, value", [
+        ("workers", 2), ("cache_dir", "c"), ("resume", True),
+        ("obs", True), ("use_cache", False), ("results_db", "x.db"),
+        ("fleet", "listen"), ("max_attempts", 2),
+    ])
+    def test_run_campaign_keywords_refused(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            api.run_campaign(["sleep:0#x"], **{name: value})
 
 
 class TestApiIntegration:

@@ -14,11 +14,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.report import UnitOutcome
 from repro.campaign.units import enumerate_units
 from repro.results.db import ResultsDB
-from repro.results.hooks import (
-    record_campaign_outcomes,
-    record_unit_execution,
-    record_unit_hit,
-)
+from repro.results.hooks import record_campaign_outcomes, record_unit
 from repro.results.queries import experiment_rollup
 
 FAST = ["sleep:0.01#a", "sleep:0.01#b", "sleep:0.01#c"]
@@ -95,11 +91,20 @@ class TestServeRecording:
         })
         return unit, cache
 
+    @staticmethod
+    def _hit(unit):
+        return UnitOutcome(ident=unit.ident, label=unit.label, key=unit.key,
+                           status="hit", worker="serve", seconds=0.0,
+                           compute_seconds=unit.est_cost)
+
     def test_execution_then_hit(self, tmp_path, unit_and_cache):
         unit, cache = unit_and_cache
         db_path = str(tmp_path / "i.db")
-        record_unit_execution(db_path, unit, 0.01, cache, git_sha="g1")
-        record_unit_hit(db_path, unit, cache, git_sha="g1")
+        with ResultsDB(db_path) as db:
+            assert record_unit(db, unit.key, cache.meta(unit.key),
+                               git_sha="g1", cache=cache)
+        record_campaign_outcomes(db_path, [self._hit(unit)], cache,
+                                 git_sha="g1")
         with ResultsDB(db_path) as db:
             cols, rows = db.query(
                 "SELECT source, status, hits, git_sha FROM runs")
@@ -110,9 +115,124 @@ class TestServeRecording:
             self, tmp_path, unit_and_cache):
         unit, cache = unit_and_cache
         db_path = str(tmp_path / "i.db")
-        record_unit_hit(db_path, unit, cache, git_sha=None)
+        # git_sha="" stamps nothing (None would auto-resolve).
+        record_campaign_outcomes(db_path, [self._hit(unit)], cache,
+                                 git_sha="")
         with ResultsDB(db_path) as db:
-            cols, rows = db.query("SELECT source, hits FROM runs")
+            cols, rows = db.query("SELECT source, hits, git_sha FROM runs")
             # Sidecar says worker == "serve", so the backfilled row
             # keeps its true origin.
-            assert rows == [("serve", 1)]
+            assert rows == [("serve", 1, None)]
+
+
+SELECTOR = "sleep:0#one-row"
+
+
+def _row(db_path, key):
+    """Everything about an indexed entry except ids, times and counts."""
+    with ResultsDB(db_path) as db:
+        run = db.query(
+            "SELECT source, ident, point, params_json, host, cache_key "
+            "FROM runs WHERE run_key = ?", (key,))[1]
+        metrics = db.query(
+            "SELECT m.name, m.value, m.unit FROM metrics m "
+            "JOIN runs r ON r.id = m.run_id WHERE r.run_key = ?",
+            (key,))[1]
+        artifacts = db.query(
+            "SELECT a.path, a.sha256, a.bytes FROM artifacts a "
+            "JOIN runs r ON r.id = a.run_id WHERE r.run_key = ?",
+            (key,))[1]
+    return run, sorted(metrics), sorted(artifacts)
+
+
+def _serve(cache_dir, db_path):
+    import asyncio
+
+    from repro.serve import Gateway, ServeConfig
+
+    async def go():
+        async with Gateway(ServeConfig(cache_dir=cache_dir,
+                                       results_db=db_path,
+                                       pool_workers=1)) as gateway:
+            return await gateway.call_run(SELECTOR)
+
+    return asyncio.run(go()).doc["units"][0]["served"]
+
+
+def _campaign(cache_dir, db_path):
+    report = run_campaign([SELECTOR], cache_dir=cache_dir,
+                          results_db=db_path)
+    return report.outcomes[0].status
+
+
+def _ingest(cache_dir, db_path):
+    from repro.results.ingest import Ingestor
+
+    with ResultsDB(db_path) as db:
+        stats = Ingestor(db, git_sha="").ingest_cache_dir(cache_dir)
+    return "ingested" if stats.added == 1 else str(stats)
+
+
+#: How each path indexes the entry, and what it reports doing.
+INDEXERS = {"campaign": (_campaign, "hit"), "serve": (_serve, "hit"),
+            "ingest": (_ingest, "ingested")}
+
+
+class TestOneRowPerEntry:
+    """One cache entry indexes to one row, whichever path records it:
+    the path that wrote it (campaign ran, serve executed), a later hit
+    through either front end, or ``results ingest``."""
+
+    @pytest.mark.parametrize("writer", ["campaign", "serve"])
+    @pytest.mark.parametrize("reader", ["writer", "campaign", "serve",
+                                        "ingest"])
+    def test_same_row_on_every_path(self, tmp_path, writer, reader):
+        cache_dir = str(tmp_path / "cache")
+        write, _ = INDEXERS[writer]
+        assert write(cache_dir, str(tmp_path / "writer.db")) in (
+            "ran", "executed")
+        key = enumerate_units([SELECTOR])[0].key
+        ref = str(tmp_path / "ref.db")
+        assert _ingest(cache_dir, ref) == "ingested"
+        if reader == "writer":
+            got = str(tmp_path / "writer.db")
+        else:
+            got = str(tmp_path / "reader.db")
+            index, status = INDEXERS[reader]
+            assert index(cache_dir, got) == status
+        run, metrics, artifacts = _row(got, key)
+        assert run[0][0] == writer  # source: who wrote the entry
+        assert run[0][4]  # host: the writing process
+        assert metrics and artifacts
+        assert (run, metrics, artifacts) == _row(ref, key)
+
+    def test_every_sidecar_writer_writes_the_same_keys(self, tmp_path):
+        from repro.fleet.coordinator import FleetCoordinator
+        from repro.fleet.config import FleetConfig
+        from repro.fleet.salvage import salvage_value
+
+        unit = enumerate_units([SELECTOR])[0]
+        sidecars = {}
+        for writer, run in (("campaign", _campaign), ("serve", _serve)):
+            cache = str(tmp_path / writer)
+            run(cache, str(tmp_path / f"{writer}.db"))
+            sidecars[writer] = ResultCache(cache).meta(unit.key)
+
+        fleet_cache = ResultCache(str(tmp_path / "fleet"))
+        coordinator = FleetCoordinator(FleetConfig(listen="127.0.0.1:0"),
+                                       fleet_cache)
+        coordinator._absorb(UnitOutcome(
+            ident=unit.ident, label=unit.label, key=unit.key, status="ran",
+            worker=3, seconds=0.0, compute_seconds=0.0, result={"x": 1},
+            host="w:1",
+        ), unit)
+        sidecars["fleet"] = fleet_cache.meta(unit.key)
+
+        main = ResultCache(str(tmp_path / "main"))
+        assert salvage_value(unit.key, [str(tmp_path / "campaign")], main)
+        sidecars["salvage"] = main.meta(unit.key)
+
+        keys = {name: sorted(meta) for name, meta in sidecars.items()}
+        assert len({tuple(k) for k in keys.values()}) == 1, keys
+        assert {"ident", "point", "params", "duration", "version",
+                "worker", "host"} <= set(keys["campaign"])
